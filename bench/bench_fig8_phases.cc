@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   Relation relation = MakeNcvoterLike(rows, cols, args.seed);
   Relation deduped = DeduplicateRows(relation).relation;
 
-  MudsOptions options;
+  EngineOptions options;
   options.seed = args.seed;
   options.num_threads = args.threads;
   MudsResult result = Muds::Run(deduped, options);

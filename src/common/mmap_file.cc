@@ -60,37 +60,11 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-void MappedFile::Advise(Advice advice, size_t offset, size_t length) const {
+void MappedFile::AdviseSequential() const {
 #if MUDS_MMAP_POSIX
-  if (data_ == nullptr || length == 0 || offset >= size_) return;
-  if (offset + length > size_) length = size_ - offset;
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t begin = offset / page * page;
-  const size_t end = offset + length;
-  int adv = MADV_NORMAL;
-  switch (advice) {
-    case Advice::kNormal:
-      adv = MADV_NORMAL;
-      break;
-    case Advice::kSequential:
-      adv = MADV_SEQUENTIAL;
-      break;
-    case Advice::kRandom:
-      adv = MADV_RANDOM;
-      break;
-    case Advice::kWillNeed:
-      adv = MADV_WILLNEED;
-      break;
-    case Advice::kDontNeed:
-      adv = MADV_DONTNEED;
-      break;
-  }
+  if (data_ == nullptr) return;
   // Best effort: profiling is correct without the hint.
-  (void)::madvise(static_cast<char*>(data_) + begin, end - begin, adv);
-#else
-  (void)advice;
-  (void)offset;
-  (void)length;
+  (void)::madvise(data_, size_, MADV_SEQUENTIAL);
 #endif
 }
 

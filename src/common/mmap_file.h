@@ -18,14 +18,6 @@ namespace muds {
 /// succeed.
 class MappedFile {
  public:
-  enum class Advice {
-    kNormal,
-    kSequential,  // madvise(MADV_SEQUENTIAL): aggressive read-ahead.
-    kRandom,      // madvise(MADV_RANDOM): no read-ahead.
-    kWillNeed,    // madvise(MADV_WILLNEED): prefetch now.
-    kDontNeed,    // madvise(MADV_DONTNEED): drop clean pages.
-  };
-
   /// Maps `path` read-only. Empty files succeed and yield an empty view.
   static Result<MappedFile> Open(const std::string& path);
 
@@ -46,11 +38,9 @@ class MappedFile {
   size_t size() const { return size_; }
   bool mapped() const { return data_ != nullptr; }
 
-  /// Applies `advice` to the whole mapping; ignored where unsupported.
-  void Advise(Advice advice) const { Advise(advice, 0, size_); }
-  /// Applies `advice` to `[offset, offset + length)`; the range is widened
-  /// to page boundaries internally.
-  void Advise(Advice advice, size_t offset, size_t length) const;
+  /// madvise(MADV_SEQUENTIAL) over the whole mapping (aggressive
+  /// read-ahead for a front-to-back parse); ignored where unsupported.
+  void AdviseSequential() const;
 
  private:
   MappedFile(void* data, size_t size) : data_(data), size_(size) {}

@@ -1,6 +1,5 @@
 #include "core/holistic_fun.h"
 
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -17,16 +16,6 @@ namespace muds {
 
 namespace {
 
-std::vector<Ind> DiscoverInds(const Relation& relation,
-                              const SpillConfig& spill) {
-  if (spill.enabled()) {
-    SpiderExternalOptions external;
-    external.spill = spill;
-    return Spider::DiscoverExternal(relation, external);
-  }
-  return Spider::Discover(relation);
-}
-
 void AccumulateSampling(const FdDiscoveryResult& fd_result,
                         HolisticResult* result) {
   result->sampling_pairs += fd_result.sampling_pairs;
@@ -37,90 +26,64 @@ void AccumulateSampling(const FdDiscoveryResult& fd_result,
 
 }  // namespace
 
-HolisticResult HolisticFun::Run(const Relation& relation, int num_threads,
-                                PliImpl pli_impl, const SpillConfig& spill,
-                                const SamplingConfig& sampling) {
+HolisticResult HolisticFun::Run(const Relation& relation,
+                                const EngineOptions& engine) {
   HolisticResult result;
-  ThreadPool pool(num_threads);
+  ThreadPool pool(engine.num_threads);
   result.num_threads_used = pool.NumThreads();
-  if (pool.NumThreads() > 1) {
-    // SPIDER (dictionary merge) and FUN (PLI lattice) read disjoint state:
-    // overlap them. Each phase is charged its own task time, measured
-    // inside the task and merged afterwards (PhaseTimings itself is not
-    // thread-safe). Register SPIDER first to keep the paper's phase order.
-    result.timings.Add("SPIDER", 0);
-    std::future<std::pair<std::vector<Ind>, int64_t>> inds =
-        pool.Submit([&relation, &spill] {
-          // Trace-only span: PhaseTimings is not thread-safe, so the task
-          // measures its own time and the caller merges it below.
-          MUDS_TRACE_SPAN("SPIDER");
-          Timer timer;
-          std::vector<Ind> discovered = DiscoverInds(relation, spill);
-          return std::make_pair(std::move(discovered),
-                                timer.ElapsedMicros());
-        });
-    {
-      MUDS_TRACE_SPAN(&result.timings, "FUN");
-      FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
-      result.fds = std::move(fd_result.fds);
-      result.uccs = std::move(fd_result.uccs);
-      result.fd_checks = fd_result.fd_checks;
-      result.pli_intersects = fd_result.pli_intersects;
-      AccumulateSampling(fd_result, &result);
-    }
-    auto [discovered, spider_micros] = inds.get();
-    result.inds = std::move(discovered);
-    result.timings.Add("SPIDER", spider_micros);
-    return result;
-  }
-  {
-    MUDS_TRACE_SPAN(&result.timings, "SPIDER");
-    result.inds = DiscoverInds(relation, spill);
-  }
+  // SPIDER (dictionary merge) and FUN (PLI lattice) read disjoint state:
+  // overlap them. Each phase is charged its own task time, measured inside
+  // the task and merged afterwards (PhaseTimings itself is not
+  // thread-safe). Register SPIDER first to keep the paper's phase order.
+  result.timings.Add("SPIDER", 0);
+  std::future<std::pair<std::vector<Ind>, int64_t>> inds =
+      pool.Submit([&relation, &engine] {
+        // Trace-only span: the caller merges the task's own time below.
+        MUDS_TRACE_SPAN("SPIDER");
+        Timer timer;
+        std::vector<Ind> discovered = Spider::Discover(relation, engine.spill);
+        return std::make_pair(std::move(discovered), timer.ElapsedMicros());
+      });
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
+    FdDiscoveryResult fd_result =
+        Fun::Discover(relation, engine.pli_impl, engine.sampling);
     result.fds = std::move(fd_result.fds);
     result.uccs = std::move(fd_result.uccs);
     result.fd_checks = fd_result.fd_checks;
     result.pli_intersects = fd_result.pli_intersects;
     AccumulateSampling(fd_result, &result);
   }
+  auto [discovered, spider_micros] = inds.get();
+  result.inds = std::move(discovered);
+  result.timings.Add("SPIDER", spider_micros);
   return result;
 }
 
-HolisticResult Baseline::Run(const Relation& relation, uint64_t seed,
-                             int num_threads, size_t pli_budget_bytes,
-                             PliImpl pli_impl, const SpillConfig& spill,
-                             const SamplingConfig& sampling) {
+HolisticResult Baseline::Run(const Relation& relation,
+                             const EngineOptions& engine) {
   HolisticResult result;
-  ThreadPool pool(num_threads);
+  ThreadPool pool(engine.num_threads);
   result.num_threads_used = pool.NumThreads();
   {
     MUDS_TRACE_SPAN(&result.timings, "SPIDER");
-    result.inds = DiscoverInds(relation, spill);
+    result.inds = Spider::Discover(relation, engine.spill);
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "DUCC");
     // DUCC builds its own PLIs: no sharing in the baseline. The same goes
     // for its evidence store — FUN samples its own below, matching the
     // baseline's no-sharing contract.
-    PliCache cache(relation, pli_budget_bytes, &pool, pli_impl, spill);
+    PliCache cache(relation, engine.pli_budget_bytes, &pool, engine.pli_impl,
+                   engine.spill);
     std::optional<EvidenceStore> evidence;
-    if (sampling.enabled() && relation.NumRows() > 1) {
+    if (engine.sampling.enabled() && relation.NumRows() > 1) {
       MUDS_TRACE_SPAN("evidenceBuild");
       evidence.emplace(relation);
-      std::vector<std::shared_ptr<const Pli>> pinned;
-      std::vector<std::pair<int, const Pli*>> column_plis;
-      const ColumnSet active = relation.ActiveColumns();
-      for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-        pinned.push_back(cache.Get(ColumnSet::Single(c)));
-        column_plis.emplace_back(c, pinned.back().get());
-      }
-      SampleEvidence(sampling, column_plis, &*evidence);
+      SampleEvidence(engine.sampling, &cache, &*evidence);
     }
     Ducc::Options options;
-    options.seed = seed;
+    options.seed = engine.seed;
     result.uccs = Ducc::Discover(relation, &cache, options, nullptr,
                                  evidence ? &*evidence : nullptr);
     result.pli_intersects += cache.NumIntersects();
@@ -140,7 +103,8 @@ HolisticResult Baseline::Run(const Relation& relation, uint64_t seed,
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
+    FdDiscoveryResult fd_result =
+        Fun::Discover(relation, engine.pli_impl, engine.sampling);
     result.fds = std::move(fd_result.fds);
     result.fd_checks = fd_result.fd_checks;
     result.pli_intersects += fd_result.pli_intersects;

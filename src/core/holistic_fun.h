@@ -1,12 +1,10 @@
 #ifndef MUDS_CORE_HOLISTIC_FUN_H_
 #define MUDS_CORE_HOLISTIC_FUN_H_
 
-#include "common/spill.h"
 #include "common/timer.h"
-#include "core/sampling.h"
+#include "core/engine_options.h"
 #include "data/metadata.h"
 #include "data/relation.h"
-#include "pli/position_list_index.h"
 
 namespace muds {
 
@@ -25,8 +23,8 @@ struct HolisticResult {
   int64_t pli_cache_evictions = 0;
   int64_t pli_cache_spill_writes = 0;
   int64_t pli_cache_spill_reloads = 0;
-  /// Threads the run actually used (0 in `num_threads` resolves to the
-  /// hardware concurrency).
+  /// Threads the run actually used (0 in EngineOptions::num_threads
+  /// resolves to the hardware concurrency).
   int num_threads_used = 1;
   /// Sampling-first pre-validation counters (0 with sampling disabled).
   int64_t sampling_pairs = 0;
@@ -43,19 +41,17 @@ struct HolisticResult {
 /// needed, so the FD runtime is unchanged.
 class HolisticFun {
  public:
-  /// With `num_threads > 1` the SPIDER and FUN tasks — which read disjoint
-  /// state — run concurrently; the discovered dependency sets are identical
-  /// for every thread count. Phase timings then measure each task's own
-  /// elapsed time, so they can sum to more than the wall clock.
-  /// `pli_impl` selects the PLI representation FUN materializes its
-  /// lattice with (the discovered sets are identical for every choice).
-  /// `spill` (when enabled) routes SPIDER through its external sort-merge.
-  /// `sampling` (when enabled) lets FUN refute Lemma-1 candidates against a
-  /// sampled evidence store first; refutation-only, identical results.
-  static HolisticResult Run(const Relation& relation, int num_threads = 1,
-                            PliImpl pli_impl = PliImpl::kAuto,
-                            const SpillConfig& spill = SpillConfig(),
-                            const SamplingConfig& sampling = SamplingConfig());
+  /// The SPIDER and FUN tasks read disjoint state, so SPIDER runs as a
+  /// pool task next to FUN; the discovered dependency sets are identical
+  /// for every thread count. Phase timings measure each task's own elapsed
+  /// time, so with several threads they can sum to more than the wall
+  /// clock. FUN materializes its lattice in `engine.pli_impl` and, with
+  /// sampling enabled, refutes Lemma-1 candidates against a sampled
+  /// evidence store first. `engine.pli_budget_bytes` and `engine.seed` are
+  /// unused: FUN keeps its lattice PLIs outside any cache and is not
+  /// randomized.
+  static HolisticResult Run(const Relation& relation,
+                            const EngineOptions& engine = {});
 };
 
 /// The evaluation baseline (§6): the sequential execution of the three
@@ -64,23 +60,17 @@ class HolisticFun {
 /// (The unshared *file read* is modeled by the Profiler facade, which
 /// parses the input once per algorithm for the baseline.)
 /// The three algorithms stay strictly sequential relative to each other —
-/// that ordering is what the baseline models — but `num_threads` still
-/// parallelizes DUCC's private column-PLI construction, which is
+/// that ordering is what the baseline models — but `engine.num_threads`
+/// still parallelizes DUCC's private column-PLI construction, which is
 /// task-internal work.
 class Baseline {
  public:
-  /// `pli_budget_bytes` bounds DUCC's private PLI cache (0 = unlimited);
-  /// the discovered dependency sets are identical for every budget.
-  /// `spill` (when enabled) gives that cache a cold tier and routes SPIDER
-  /// through the external sort-merge. `sampling` (when enabled) gives DUCC
-  /// and FUN each a private sampled evidence store for candidate
-  /// refutation — no sharing, matching the baseline's no-sharing contract.
-  static HolisticResult Run(const Relation& relation, uint64_t seed = 1,
-                            int num_threads = 1,
-                            size_t pli_budget_bytes = size_t{1} << 30,
-                            PliImpl pli_impl = PliImpl::kAuto,
-                            const SpillConfig& spill = SpillConfig(),
-                            const SamplingConfig& sampling = SamplingConfig());
+  /// `engine.pli_budget_bytes` and `engine.spill` configure DUCC's private
+  /// PLI cache. With sampling enabled, DUCC and FUN each get a private
+  /// sampled evidence store for candidate refutation — no sharing,
+  /// matching the baseline's no-sharing contract.
+  static HolisticResult Run(const Relation& relation,
+                            const EngineOptions& engine = {});
 };
 
 }  // namespace muds

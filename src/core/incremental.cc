@@ -126,14 +126,7 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
   if (options_.sampling.enabled()) {
     MUDS_TRACE_SPAN(&timings_, "evidenceBuild");
     evidence_ = std::make_unique<EvidenceStore>(*relation_);
-    std::vector<std::shared_ptr<const Pli>> pinned;
-    std::vector<std::pair<int, const Pli*>> column_plis;
-    const ColumnSet active = relation_->ActiveColumns();
-    for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-      pinned.push_back(cache_->Get(ColumnSet::Single(c)));
-      column_plis.emplace_back(c, pinned.back().get());
-    }
-    SampleEvidence(options_.sampling, column_plis, evidence_.get());
+    SampleEvidence(options_.sampling, cache_.get(), evidence_.get());
   }
 
   row_index_.reserve(static_cast<size_t>(relation_->NumRows()));
@@ -213,13 +206,7 @@ Status IncrementalProfiler::Append(const Relation& batch) {
     // repair; but SPIDER over the merged dictionaries is one multiway merge
     // with no lattice, so a full recomputation is the cheap option.
     MUDS_TRACE_SPAN(&timings_, "incrementalInds");
-    if (options_.spill.enabled()) {
-      SpiderExternalOptions external;
-      external.spill = options_.spill;
-      inds_ = Spider::DiscoverExternal(*relation_, external);
-    } else {
-      inds_ = Spider::Discover(*relation_);
-    }
+    inds_ = Spider::Discover(*relation_, options_.spill);
     Canonicalize(&inds_);
   }
 
@@ -519,13 +506,7 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
     result_by_rhs[static_cast<size_t>(rhs)] = std::move(kept);
   };
 
-  if (pool_ && pool_->NumThreads() > 1) {
-    pool_->ParallelFor(0, static_cast<int64_t>(rhs_list.size()), process_rhs);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(rhs_list.size()); ++i) {
-      process_rhs(i);
-    }
-  }
+  pool_->ParallelFor(0, static_cast<int64_t>(rhs_list.size()), process_rhs);
 
   stats_.revalidated += revalidated.load();
   stats_.screened_out += screened_out.load();

@@ -244,8 +244,9 @@ class TaskLevels {
 
 class MudsRunner {
  public:
-  MudsRunner(const Relation& relation, const MudsOptions& options)
-      : relation_(relation), options_(options) {}
+  MudsRunner(const Relation& relation, const EngineOptions& engine,
+             const MudsOptions& muds)
+      : relation_(relation), engine_(engine), muds_(muds) {}
 
   MudsResult Run();
 
@@ -312,10 +313,6 @@ class MudsRunner {
       knowledge.checked = knowledge.checked.Union(unchecked);
     }
     return candidates.Intersect(knowledge.valid);
-  }
-
-  bool CheckFd(const ColumnSet& lhs, int rhs, int64_t* counter) {
-    return !CheckFds(lhs, ColumnSet::Single(rhs), counter).Empty();
   }
 
   // §4.1: right-hand sides that can never form an FD with `lhs` because
@@ -411,11 +408,12 @@ class MudsRunner {
   bool MinimizeTasks(TaskLevels* tasks, int64_t* check_counter);
 
   const Relation& relation_;
-  MudsOptions options_;
+  const EngineOptions& engine_;
+  const MudsOptions& muds_;
   MudsResult result_;
 
   std::optional<PliCache> cache_;
-  // Sampled row-pair evidence (engaged only with options_.sampling on and
+  // Sampled row-pair evidence (engaged only with engine_.sampling on and
   // more than one row). Probes take a shared lock; feedback inserts take a
   // unique lock, so the parallel phases can consult it concurrently.
   std::optional<EvidenceStore> evidence_;
@@ -445,26 +443,17 @@ class MudsRunner {
 };
 
 MudsResult MudsRunner::Run() {
-  pool_.emplace(options_.num_threads);
+  pool_.emplace(engine_.num_threads);
   result_.stats.num_threads_used = pool_->NumThreads();
   RunSpider();
   // Eager registration: the sampling.* registry counters must exist (at
   // zero) even on runs with sampling disabled, so observability tooling
   // can rely on their presence.
   EvidenceStore::RegisterMetrics();
-  if (options_.sampling.enabled() && relation_.NumRows() > 1) {
+  if (engine_.sampling.enabled() && relation_.NumRows() > 1) {
     MUDS_TRACE_SPAN(&result_.timings, "evidenceBuild");
     evidence_.emplace(relation_);
-    // The single-column PLIs are pinned in the cache; keep the shared_ptrs
-    // alive for the duration of the sampling pass.
-    std::vector<std::shared_ptr<const Pli>> pinned;
-    std::vector<std::pair<int, const Pli*>> column_plis;
-    const ColumnSet active = relation_.ActiveColumns();
-    for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-      pinned.push_back(cache_->Get(ColumnSet::Single(c)));
-      column_plis.emplace_back(c, pinned.back().get());
-    }
-    SampleEvidence(options_.sampling, column_plis, &*evidence_);
+    SampleEvidence(engine_.sampling, &*cache_, &*evidence_);
   }
   RunDucc();
 
@@ -484,11 +473,11 @@ MudsResult MudsRunner::Run() {
       MUDS_TRACE_SPAN(&result_.timings, "calculateRZ");
       CalculateRz();
     }
-    if (options_.run_paper_shadowed_phase ||
-        options_.completion == MudsOptions::Completion::kFixpoint) {
+    if (muds_.run_paper_shadowed_phase ||
+        muds_.completion == MudsOptions::Completion::kFixpoint) {
       DiscoverShadowedFds();
     }
-    if (options_.completion == MudsOptions::Completion::kExhaustive) {
+    if (muds_.completion == MudsOptions::Completion::kExhaustive) {
       MUDS_TRACE_SPAN(&result_.timings, "exhaustiveCompletion");
       ExhaustiveCompletion();
     }
@@ -523,39 +512,24 @@ void MudsRunner::RunSpider() {
   MUDS_TRACE_SPAN(&result_.timings, "SPIDER");
   // The paper builds the PLIs in the same pass that feeds SPIDER (§5);
   // constructing the cache here mirrors that shared scan. SPIDER and the
-  // PLI build read disjoint state, so with a parallel pool SPIDER runs on a
-  // worker while the caller drives the per-column PLI construction.
-  // With a spill directory configured, SPIDER merges disk-resident runs
-  // instead of in-memory dictionaries (same INDs, bounded memory).
-  const auto discover_inds = [this] {
-    if (options_.spill.enabled()) {
-      SpiderExternalOptions external;
-      external.spill = options_.spill;
-      return Spider::DiscoverExternal(relation_, external);
-    }
-    return Spider::Discover(relation_);
-  };
-  if (pool_->NumThreads() > 1) {
-    std::future<std::vector<Ind>> inds = pool_->Submit(discover_inds);
-    cache_.emplace(relation_, options_.pli_budget_bytes, &*pool_,
-                   options_.pli_impl, options_.spill);
-    result_.inds = inds.get();
-  } else {
-    result_.inds = discover_inds();
-    cache_.emplace(relation_, options_.pli_budget_bytes, nullptr,
-                   options_.pli_impl, options_.spill);
-  }
+  // PLI build read disjoint state, so SPIDER runs as a pool task while the
+  // caller drives the per-column PLI construction.
+  std::future<std::vector<Ind>> inds = pool_->Submit(
+      [this] { return Spider::Discover(relation_, engine_.spill); });
+  cache_.emplace(relation_, engine_.pli_budget_bytes, &*pool_,
+                 engine_.pli_impl, engine_.spill);
+  result_.inds = inds.get();
   active_ = relation_.ActiveColumns();
 }
 
 void MudsRunner::RunDucc() {
   MUDS_TRACE_SPAN(&result_.timings, "DUCC");
   Ducc::Options ducc_options;
-  ducc_options.seed = options_.seed;
+  ducc_options.seed = engine_.seed;
   uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options,
                          &result_.stats.ducc,
                          evidence_ ? &*evidence_ : nullptr);
-  ucc_store_.emplace(uccs_, options_.use_prefix_tree);
+  ucc_store_.emplace(uccs_, muds_.use_prefix_tree);
   z_ = ColumnSet();
   for (const ColumnSet& ucc : uccs_) z_ = z_.Union(ucc);
 }
@@ -595,28 +569,6 @@ void MudsRunner::MinimizeFdsFromUccs() {
 void MudsRunner::CalculateRz() {
   const ColumnSet rz = active_.Difference(z_);
   const MudsCounters& counters = MudsCounters::Get();
-  if (pool_->NumThreads() <= 1) {
-    for (int a = rz.First(); a >= 0; a = rz.NextAtLeast(a + 1)) {
-      MUDS_TRACE_SPAN("rzTraversal", RhsArgs(a));
-      LatticeTraversal::Options traversal_options;
-      traversal_options.seed =
-          options_.seed * 7919 + static_cast<uint64_t>(a);
-      // Key pruning: every minimal UCC determines `a` (a ∉ Z, so no UCC
-      // contains it).
-      traversal_options.known_positive = uccs_;
-      LatticeTraversal traversal(
-          active_.Without(a),
-          [this, a](const ColumnSet& lhs) {
-            return CheckFd(lhs, a, &result_.stats.fd_checks_rz);
-          },
-          traversal_options);
-      for (const ColumnSet& lhs : traversal.Run()) fd_store_.Add(lhs, a);
-      counters.rz_nodes_visited->Add(traversal.stats().predicate_calls);
-      counters.rz_walk_steps->Add(traversal.stats().walk_steps);
-    }
-    return;
-  }
-
   // Each right-hand side outside Z spans its own sub-lattice, seeded
   // independently — the traversals share nothing but the (thread-safe)
   // PliCache and the read-only check memo, so they run concurrently and
@@ -631,7 +583,9 @@ void MudsRunner::CalculateRz() {
     const int a = targets[static_cast<size_t>(i)];
     MUDS_TRACE_SPAN("rzTraversal", RhsArgs(a));
     LatticeTraversal::Options traversal_options;
-    traversal_options.seed = options_.seed * 7919 + static_cast<uint64_t>(a);
+    traversal_options.seed = engine_.seed * 7919 + static_cast<uint64_t>(a);
+    // Key pruning: every minimal UCC determines `a` (a ∉ Z, so no UCC
+    // contains it).
     traversal_options.known_positive = uccs_;
     TaskCheckState* state = &states[static_cast<size_t>(i)];
     LatticeTraversal traversal(
@@ -658,7 +612,7 @@ std::vector<ColumnSet> MudsRunner::RemoveUccs(const ColumnSet& lhs) {
   std::vector<ColumnSet> results;
   if (contained.empty()) {
     results = {lhs};
-  } else if (options_.completion == MudsOptions::Completion::kExhaustive &&
+  } else if (muds_.completion == MudsOptions::Completion::kExhaustive &&
              contained.size() > 32) {
     // Budget guard: enumerating the UCC-free reductions of a left-hand
     // side that swallows dozens of minimal UCCs is itself exponential.
@@ -692,7 +646,7 @@ bool MudsRunner::MinimizeTasks(TaskLevels* tasks, int64_t* check_counter) {
       // Right-hand sides already determined by a stored subset of this lhs
       // cannot yield new minimal FDs here.
       ColumnSet pending = rhs_set;
-      if (options_.shadowed_knowledge_pruning) {
+      if (muds_.shadowed_knowledge_pruning) {
         for (int a = pending.First(); a >= 0;
              a = pending.NextAtLeast(a + 1)) {
           if (fd_store_.Covers(lhs, a)) pending.Remove(a);
@@ -705,7 +659,7 @@ bool MudsRunner::MinimizeTasks(TaskLevels* tasks, int64_t* check_counter) {
         const ColumnSet subset = lhs.Without(c);
         if (subset.Empty()) continue;
         ColumnSet candidates = pending.Difference(subset);
-        if (options_.shadowed_knowledge_pruning) {
+        if (muds_.shadowed_knowledge_pruning) {
           for (int a = candidates.First(); a >= 0;
                a = candidates.NextAtLeast(a + 1)) {
             if (fd_store_.Covers(subset, a)) {
@@ -773,7 +727,7 @@ void MudsRunner::DiscoverShadowedFds() {
           ColumnSet candidates =
               fresh_rhs.Difference(reduced).Difference(dispatched);
           dispatched = dispatched.Union(candidates);
-          if (options_.shadowed_knowledge_pruning) {
+          if (muds_.shadowed_knowledge_pruning) {
             for (int a = candidates.First(); a >= 0;
                  a = candidates.NextAtLeast(a + 1)) {
               if (fd_store_.Covers(reduced, a)) candidates.Remove(a);
@@ -818,53 +772,24 @@ void MudsRunner::ExhaustiveCompletion() {
   }
 
   const MudsCounters& counters = MudsCounters::Get();
-  if (pool_->NumThreads() <= 1) {
-    for (int a = z_.First(); a >= 0; a = z_.NextAtLeast(a + 1)) {
-      MUDS_TRACE_SPAN("completionTraversal", RhsArgs(a));
-      LatticeTraversal::Options traversal_options;
-      traversal_options.seed =
-          options_.seed * 104729 + static_cast<uint64_t>(a);
-      traversal_options.known_positive = known_positive[a];
-      traversal_options.known_negative = known_negative[a];
-      for (const ColumnSet& lhs : fd_store_.MinimalLhsFor(a)) {
-        traversal_options.known_positive.push_back(lhs);
-      }
-      // Key pruning: every minimal UCC not containing `a` determines it.
-      for (const ColumnSet& ucc : uccs_) {
-        if (!ucc.Contains(a)) traversal_options.known_positive.push_back(ucc);
-      }
-      LatticeTraversal traversal(
-          active_.Without(a),
-          [this, a](const ColumnSet& lhs) {
-            return CheckFd(lhs, a, &result_.stats.fd_checks_shadowed);
-          },
-          traversal_options);
-      fd_store_.ReplaceMinimal(a, traversal.Run());
-      counters.completion_nodes_visited->Add(
-          traversal.stats().predicate_calls);
-      counters.completion_walk_steps->Add(traversal.stats().walk_steps);
-    }
-    return;
-  }
-
-  // Parallel path. The traversal for right-hand side `a` depends only on
-  // the pre-phase knowledge snapshotted above (ReplaceMinimal for b ≠ a
-  // never changes MinimalLhsFor(a)), so the per-RHS options are prepared
-  // sequentially, the traversals run concurrently, and the store is
-  // updated in right-hand-side order afterwards — same answer as the
-  // sequential loop.
+  // The traversal for right-hand side `a` depends only on the pre-phase
+  // knowledge snapshotted above (ReplaceMinimal for b ≠ a never changes
+  // MinimalLhsFor(a)), so the per-RHS options are prepared up front, the
+  // traversals run concurrently, and the store is updated in
+  // right-hand-side order afterwards.
   const std::vector<int> targets = z_.ToIndices();
   std::vector<LatticeTraversal::Options> per_rhs_options(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     const int a = targets[i];
     LatticeTraversal::Options& traversal_options = per_rhs_options[i];
     traversal_options.seed =
-        options_.seed * 104729 + static_cast<uint64_t>(a);
+        engine_.seed * 104729 + static_cast<uint64_t>(a);
     traversal_options.known_positive = known_positive[a];
     traversal_options.known_negative = known_negative[a];
     for (const ColumnSet& lhs : fd_store_.MinimalLhsFor(a)) {
       traversal_options.known_positive.push_back(lhs);
     }
+    // Key pruning: every minimal UCC not containing `a` determines it.
     for (const ColumnSet& ucc : uccs_) {
       if (!ucc.Contains(a)) traversal_options.known_positive.push_back(ucc);
     }
@@ -896,8 +821,9 @@ void MudsRunner::ExhaustiveCompletion() {
 
 }  // namespace
 
-MudsResult Muds::Run(const Relation& relation, const MudsOptions& options) {
-  return MudsRunner(relation, options).Run();
+MudsResult Muds::Run(const Relation& relation, const EngineOptions& engine,
+                     const MudsOptions& muds) {
+  return MudsRunner(relation, engine, muds).Run();
 }
 
 }  // namespace muds

@@ -75,14 +75,7 @@ ProfilingResult RunOnDeduped(const Relation& relation,
   result.algorithm_used = options.algorithm;
   switch (options.algorithm) {
     case Algorithm::kMuds: {
-      MudsOptions muds_options = options.muds;
-      muds_options.seed = options.seed;
-      muds_options.num_threads = options.num_threads;
-      muds_options.pli_budget_bytes = options.pli_budget_bytes;
-      muds_options.pli_impl = options.pli_impl;
-      muds_options.spill = options.spill;
-      muds_options.sampling = options.sampling;
-      MudsResult muds = Muds::Run(relation, muds_options);
+      MudsResult muds = Muds::Run(relation, options, options.muds);
       result.inds = std::move(muds.inds);
       result.uccs = std::move(muds.uccs);
       result.fds = std::move(muds.fds);
@@ -120,12 +113,8 @@ ProfilingResult RunOnDeduped(const Relation& relation,
     case Algorithm::kBaseline: {
       HolisticResult holistic =
           options.algorithm == Algorithm::kHolisticFun
-              ? HolisticFun::Run(relation, options.num_threads,
-                                 options.pli_impl, options.spill,
-                                 options.sampling)
-              : Baseline::Run(relation, options.seed, options.num_threads,
-                              options.pli_budget_bytes, options.pli_impl,
-                              options.spill, options.sampling);
+              ? HolisticFun::Run(relation, options)
+              : Baseline::Run(relation, options);
       result.inds = std::move(holistic.inds);
       result.uccs = std::move(holistic.uccs);
       result.fds = std::move(holistic.fds);
@@ -197,10 +186,10 @@ CsvOptions CsvOptionsForLoad(const ProfileOptions& options) {
   return csv;
 }
 
-}  // namespace
-
-Result<ProfilingResult> ProfileCsvString(std::string_view text,
-                                         const ProfileOptions& options) {
+// The body of the CSV entry points; `read(csv)` parses the input once.
+template <typename ReadFn>
+Result<ProfilingResult> ReadAndProfile(const ProfileOptions& options,
+                                       const ReadFn& read) {
   // The baseline runs three independent tools, each reading the input
   // itself; the holistic algorithms read once (§3: shared I/O).
   const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
@@ -213,7 +202,7 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
   for (int i = 0; i < num_reads; ++i) {
     MUDS_TRACE_SPAN("load");
     Timer load_timer;
-    Result<Relation> parsed = CsvReader::ReadString(text, csv);
+    Result<Relation> parsed = read(csv);
     if (!parsed.ok()) return parsed.status();
     load_micros += load_timer.ElapsedMicros();
     relation.emplace(std::move(parsed).value());
@@ -226,27 +215,20 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
   return result;
 }
 
+}  // namespace
+
+Result<ProfilingResult> ProfileCsvString(std::string_view text,
+                                         const ProfileOptions& options) {
+  return ReadAndProfile(options, [text](const CsvOptions& csv) {
+    return CsvReader::ReadString(text, csv);
+  });
+}
+
 Result<ProfilingResult> ProfileCsvFile(const std::string& path,
                                        const ProfileOptions& options) {
-  const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  const CsvOptions csv = CsvOptionsForLoad(options);
-  int64_t load_micros = 0;
-  std::optional<Relation> relation;
-  for (int i = 0; i < num_reads; ++i) {
-    MUDS_TRACE_SPAN("load");
-    Timer load_timer;
-    Result<Relation> parsed = CsvReader::ReadFile(path, csv);
-    if (!parsed.ok()) return parsed.status();
-    load_micros += load_timer.ElapsedMicros();
-    relation.emplace(std::move(parsed).value());
-  }
-
-  ProfilingResult result = ProfileRelation(*relation, options);
-  result.timings.Add("load", load_micros);
-  result.metrics = MetricsRegistry::Delta(
-      before, MetricsRegistry::Global().Snapshot());
-  return result;
+  return ReadAndProfile(options, [&path](const CsvOptions& csv) {
+    return CsvReader::ReadFile(path, csv);
+  });
 }
 
 Result<ProfilingResult> ProfileCsvStringWithAppends(

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/spill.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/muds.h"
@@ -52,41 +51,12 @@ enum class AutoPolicy {
   kUccShape,
 };
 
-/// Options for the Profile* entry points.
-struct ProfileOptions {
+/// Options for the Profile* entry points: the engine knobs every
+/// algorithm shares (EngineOptions: seed, threads, PLI budget and layout,
+/// spill, sampling), plus the facade-level choices below.
+struct ProfileOptions : EngineOptions {
   Algorithm algorithm = Algorithm::kMuds;
-  /// Seed for randomized traversals (MUDS / baseline DUCC).
-  uint64_t seed = 1;
-  /// Worker threads for the parallel engine (0 = hardware concurrency,
-  /// 1 = the deterministic sequential path). The discovered IND/UCC/FD
-  /// sets are identical for every thread count; overrides
-  /// `muds.num_threads` the same way `seed` overrides `muds.seed`.
-  int num_threads = 1;
-  /// Byte budget for the PLI caches (MUDS' shared cache and the baseline's
-  /// private DUCC cache; 0 = unlimited). Overrides `muds.pli_budget_bytes`
-  /// the same way `seed` overrides `muds.seed`. The discovered dependency
-  /// sets are identical for every budget — a tight budget only trades
-  /// rebuild work for memory.
-  size_t pli_budget_bytes = size_t{1} << 30;
-  /// PLI representation strategy (--pli-impl). Overrides `muds.pli_impl`
-  /// the same way `seed` overrides `muds.seed` and applies to every
-  /// engine. The discovered dependency sets are identical for every
-  /// choice; the axis exists for A/B debugging and perf work.
-  PliImpl pli_impl = PliImpl::kAuto;
-  /// Tiered-storage configuration (--spill-dir / --spill-budget-mb),
-  /// applied to every engine: PLI-cache evictions demote to a disk spill
-  /// file and SPIDER streams disk-resident runs. Overrides `muds.spill`
-  /// the same way `seed` overrides `muds.seed`. The discovered dependency
-  /// sets are identical with spill on or off.
-  SpillConfig spill;
-  /// Sampling-first pre-validation (--sample-pairs / --sample-seed),
-  /// applied to every engine: candidates are probed against a sampled
-  /// evidence store of violating row pairs before any PLI work. Overrides
-  /// `muds.sampling` the same way `seed` overrides `muds.seed`.
-  /// Refutation-only, so the discovered dependency sets are identical at
-  /// every pair budget and seed.
-  SamplingConfig sampling;
-  /// MUDS-specific knobs (its `seed` field is overridden by `seed` above).
+  /// MUDS' ablation knobs (ignored by the other algorithms).
   MudsOptions muds;
   /// CSV dialect for the CSV entry points.
   CsvOptions csv;

@@ -10,6 +10,7 @@
 namespace muds {
 
 class EvidenceStore;
+class PliCache;
 
 /// Configuration of the sampling-first pre-validator (--sample-pairs /
 /// --sample-seed). Sampling is refutation-only, so the discovered
@@ -42,6 +43,12 @@ struct SamplingConfig {
 /// costs draws, not memory.
 void SampleEvidence(const SamplingConfig& config,
                     const std::vector<std::pair<int, const Pli*>>& column_plis,
+                    EvidenceStore* store);
+
+/// The engines' entry point: SampleEvidence over `cache`'s single-column
+/// PLIs of every active column, in ascending column order. Those PLIs are
+/// pinned in the cache and held alive for the whole pass.
+void SampleEvidence(const SamplingConfig& config, PliCache* cache,
                     EvidenceStore* store);
 
 }  // namespace muds

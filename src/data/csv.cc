@@ -236,7 +236,7 @@ Result<Relation> CsvReader::ReadFile(const std::string& path,
     // as the parse returns.
     Result<MappedFile> mapped = MappedFile::Open(path);
     if (mapped.ok() && mapped.value().mapped()) {
-      mapped.value().Advise(MappedFile::Advice::kSequential);
+      mapped.value().AdviseSequential();
       return ReadString(mapped.value().view(), options, path);
     }
     // Fall through to the buffered read on any mapping failure — including

@@ -48,6 +48,11 @@ class Spider {
   /// it when the spill tier is unavailable.
   static std::vector<Ind> DiscoverExternal(const Relation& relation,
                                            const SpiderExternalOptions& options);
+
+  /// The engines' entry point: DiscoverExternal over `spill` when it is
+  /// enabled, the in-memory Discover otherwise (same INDs either way).
+  static std::vector<Ind> Discover(const Relation& relation,
+                                   const SpillConfig& spill);
 };
 
 /// Quadratic reference implementation used as a correctness oracle in tests:

@@ -66,10 +66,14 @@ bool ReadFrame(int fd, std::string* payload) {
   return length == 0 || ReadExact(fd, payload->data(), length);
 }
 
+// One write per frame: a separate 4-byte length send would leave the
+// payload queued behind Nagle's algorithm until the peer's delayed ACK.
 bool WriteFrame(int fd, const std::string& payload) {
   const uint32_t length_be = htonl(static_cast<uint32_t>(payload.size()));
-  return WriteExact(fd, &length_be, sizeof(length_be)) &&
-         WriteExact(fd, payload.data(), payload.size());
+  std::string frame(reinterpret_cast<const char*>(&length_be),
+                    sizeof(length_be));
+  frame += payload;
+  return WriteExact(fd, frame.data(), frame.size());
 }
 
 json::Value MakeString(std::string text) {

@@ -123,7 +123,7 @@ TEST(StringUtilTest, FormatMicros) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   volatile int64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.ElapsedMicros(), 0);
   EXPECT_GE(timer.ElapsedSeconds(), 0.0);
 }

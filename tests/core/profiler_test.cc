@@ -44,13 +44,31 @@ TEST(ProfilerTest, DuplicateRowsAreRemovedBeforeUccDiscovery) {
 }
 
 TEST(ProfilerTest, AllAlgorithmsExposeCounters) {
+  // Every engine honours the shared EngineOptions: the thread count, the
+  // sampling budget and, where the engine has a PLI cache (MUDS' shared
+  // one, the baseline's private DUCC one), the byte budget.
+  const std::string csv = CsvWriter::ToString(RandomRelation(7, 6, 200, 4));
   for (Algorithm algorithm : {Algorithm::kMuds, Algorithm::kHolisticFun,
                               Algorithm::kBaseline}) {
     ProfileOptions options;
     options.algorithm = algorithm;
-    auto result = ProfileCsvString(kCsv, options);
+    options.num_threads = 2;
+    options.sampling.pairs = 64;
+    options.pli_budget_bytes = 1;
+    auto result = ProfileCsvString(csv, options);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
-    EXPECT_FALSE(result.value().counters.empty());
+    const auto counter = [&result](const std::string& name) {
+      for (const auto& [key, value] : result.value().counters) {
+        if (key == name) return value;
+      }
+      ADD_FAILURE() << "missing counter " << name;
+      return int64_t{-1};
+    };
+    EXPECT_EQ(counter("num_threads"), 2) << AlgorithmName(algorithm);
+    EXPECT_GT(counter("sampling_pairs"), 0) << AlgorithmName(algorithm);
+    if (algorithm != Algorithm::kHolisticFun) {
+      EXPECT_GT(counter("pli_cache_evictions"), 0) << AlgorithmName(algorithm);
+    }
   }
 }
 

@@ -8,15 +8,18 @@
 // separators at chunk edges) and assert exact equality.
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/mmap_file.h"
 #include "common/rng.h"
 #include "data/csv.h"
 #include "data/ingest.h"
+#include "test_util.h"
 
 namespace muds {
 namespace {
@@ -235,6 +238,58 @@ TEST(IngestReadFileTest, MissingFileIsIoError) {
       CsvReader::ReadFile("/nonexistent/ingest_test.csv");
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+}
+
+TEST(MappedFileTest, EmptyFileYieldsUnmappedEmptyView) {
+  // mmap(len=0) is invalid, so a size-0 file opens as "not mapped"; view()
+  // must hand back an empty view instead of wrapping a null pointer.
+  const std::string path = ::testing::TempDir() + "/mapped_file_empty";
+  { std::ofstream touch(path, std::ios::binary | std::ios::trunc); }
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped.value().mapped());
+  EXPECT_EQ(mapped.value().size(), 0u);
+  EXPECT_TRUE(mapped.value().view().empty());
+  // Advice on an unmapped file must be a harmless no-op.
+  mapped.value().AdviseSequential();
+  std::remove(path.c_str());
+}
+
+TEST(MappedFileTest, MapsFileContentsReadOnly) {
+  const std::string path = ::testing::TempDir() + "/mapped_file_contents";
+  const std::string payload = "hello, mapped world";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(payload.c_str(), f);
+    std::fclose(f);
+  }
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().view(), payload);
+  // Advice is best-effort; exercising it must not disturb the mapping.
+  mapped.value().AdviseSequential();
+  EXPECT_EQ(mapped.value().view(), payload);
+  EXPECT_FALSE(
+      MappedFile::Open(::testing::TempDir() + "/mapped_file_missing").ok());
+  std::remove(path.c_str());
+}
+
+TEST(CsvMmapTest, MmapIngestMatchesBufferedIngest) {
+  const Relation original = RandomRelation(9, 4, 400, 10);
+  const std::string path = ::testing::TempDir() + "/csv_mmap_test.csv";
+  ASSERT_TRUE(CsvWriter::WriteFile(original, path).ok());
+
+  CsvOptions buffered;
+  buffered.mmap_min_bytes = static_cast<size_t>(-1);  // Never map.
+  CsvOptions mapped;
+  mapped.mmap_min_bytes = 0;  // Always map.
+  Result<Relation> a = CsvReader::ReadFile(path, buffered);
+  Result<Relation> b = CsvReader::ReadFile(path, mapped);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectIdentical(b.value(), a.value(), "mmap");
+  std::remove(path.c_str());
 }
 
 // Property test: random documents with hostile cell content, random

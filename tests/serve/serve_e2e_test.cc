@@ -9,8 +9,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -266,6 +268,24 @@ TEST_F(ServeE2eTest, ConcurrentDuplicateClientsAllSucceed) {
   // One computes, every duplicate is served from the catalog (ready hit
   // or coalesced wait — both set catalog_hit).
   EXPECT_EQ(hits.load(), kClients - 1);
+}
+
+TEST_F(ServeE2eTest, SequentialRoundTripsDoNotWaitForDelayedAcks) {
+  // A plain client socket (no TCP_QUICKACK): if a response frame left the
+  // daemon as separate writes, Nagle's algorithm would hold its tail until
+  // this side's delayed ACK fired (~40 ms on Linux) on every round trip.
+  Client client(server_->port());
+  std::vector<double> millis;
+  for (int i = 0; i < 30; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    json::Value stats = client.Rpc("{\"cmd\":\"stats\"}");
+    const auto end = std::chrono::steady_clock::now();
+    ASSERT_TRUE(stats.Find("ok")->boolean);
+    millis.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
+  }
+  std::nth_element(millis.begin(), millis.begin() + 15, millis.end());
+  EXPECT_LT(millis[15], 10.0) << "median stats round trip in ms";
 }
 
 TEST_F(ServeE2eTest, CancelAndErrorsAndUnknownCommands) {

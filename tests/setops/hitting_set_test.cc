@@ -53,7 +53,9 @@ TEST(HittingSetTest, SharedElementDominates) {
   ASSERT_FALSE(result.empty());
   EXPECT_NE(std::find(result.begin(), result.end(), Set({1})), result.end());
   for (const ColumnSet& h : result) {
-    if (h != Set({1})) EXPECT_FALSE(h.Contains(1));
+    if (h != Set({1})) {
+      EXPECT_FALSE(h.Contains(1));
+    }
   }
 }
 

@@ -110,7 +110,9 @@ TEST(DuccTest, ResultsAreAnAntichainOfVerifiedUccs) {
           << "non-minimal: " << u.ToString();
     }
     for (const ColumnSet& other : uccs) {
-      if (u != other) EXPECT_FALSE(u.IsSubsetOf(other));
+      if (u != other) {
+        EXPECT_FALSE(u.IsSubsetOf(other));
+      }
     }
   }
 }
