@@ -245,10 +245,9 @@ Column MakeDeterminedColumn(const Column& src, int64_t card) {
 // --- SIMD kernels: gathered cluster scan and probe fill vs scalar ---
 //
 // Same binary, same inputs; simd::ForceScalar routes the kernels through
-// the scalar fallback for the baseline measurement. Runs on CSR-only PLIs
-// (PliImpl::kCsr) so the bitmap fast paths cannot mask the kernel under
-// test. The speedup is a within-process ratio, which is what the perf gate
-// pins (wall times are machine-dependent; ratios mostly are not).
+// the scalar fallback for the baseline measurement. The speedup is a
+// within-process ratio, which is what the perf gate pins (wall times are
+// machine-dependent; ratios mostly are not).
 void RunSimdKernelComparison(bool full, bench::JsonResultWriter* out) {
   bench::JsonResultWriter& writer = *out;
   std::printf("simd kernels (%s): scalar vs %s\n",
@@ -261,10 +260,9 @@ void RunSimdKernelComparison(bool full, bench::JsonResultWriter* out) {
   const int64_t rows = full ? 1000000 : 100000;
   const int64_t clusters = 1000;
   Relation r = MakeColumns(rows, clusters, 2);
-  const Pli pli =
-      Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kCsr);
-  // Candidate cardinality above the bitmap threshold, determined by the
-  // source column: the refine scan visits every cluster.
+  const Pli pli = Pli::FromColumn(r.GetColumn(0), r.NumRows());
+  // Candidate determined by the source column: the refine scan visits
+  // every cluster.
   const Column candidate = MakeDeterminedColumn(r.GetColumn(0), 300);
   const int repetitions = full ? 7 : 11;
 
@@ -301,132 +299,10 @@ void RunSimdKernelComparison(bool full, bench::JsonResultWriter* out) {
   std::printf("\n");
 }
 
-// --- Bitmap-PLI specialization vs the CSR reference on low-cardinality
-// columns: intersect (pair-code counting sort vs probe table), single
-// refine (word-parallel masks vs cluster walk), and the batched
-// RefinesAll (sidecar as probe table vs probe fill + stream) ---
-void RunBitmapKernelComparison(bool full, bench::JsonResultWriter* out) {
-  bench::JsonResultWriter& writer = *out;
-  std::printf("bitmap-PLI specialization vs CSR reference\n");
-  std::printf("%34s %12s %12s %9s\n", "kernel", "csr_us", "bitmap_us",
-              "speedup");
-  bench::PrintRule(72);
-  const int64_t rows = full ? 1000000 : 100000;
-  const int repetitions = full ? 7 : 11;
-
-  const auto report = [&](const std::string& name, int64_t csr_us,
-                          int64_t bitmap_us,
-                          std::vector<std::pair<std::string, int64_t>>
-                              extra) {
-    const double speedup =
-        bitmap_us > 0
-            ? static_cast<double>(csr_us) / static_cast<double>(bitmap_us)
-            : 0.0;
-    std::printf("%34s %12lld %12lld %8.2fx\n", name.c_str(),
-                static_cast<long long>(csr_us),
-                static_cast<long long>(bitmap_us), speedup);
-    extra.emplace_back("csr_us", csr_us);
-    extra.emplace_back("bitmap_us", bitmap_us);
-    extra.emplace_back("speedup_x100",
-                       static_cast<int64_t>(speedup * 100.0));
-    writer.Add(name, static_cast<double>(bitmap_us) / 1e3, 1, extra);
-  };
-
-  for (const int64_t card : {int64_t{8}, int64_t{32}, int64_t{64},
-                             int64_t{200}}) {
-    Relation r = MakeColumns(rows, card, card);
-    const Pli a_csr =
-        Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kCsr);
-    const Pli b_csr =
-        Pli::FromColumn(r.GetColumn(1), r.NumRows(), PliImpl::kCsr);
-    const Pli a_bm =
-        Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kBitmap);
-    const Pli b_bm =
-        Pli::FromColumn(r.GetColumn(1), r.NumRows(), PliImpl::kBitmap);
-
-    { Pli warm = a_csr.Intersect(b_csr); benchmark::DoNotOptimize(warm); }
-    { Pli warm = a_bm.Intersect(b_bm); benchmark::DoNotOptimize(warm); }
-    int64_t csr_clusters = 0;
-    const int64_t csr_us = MedianMicros(repetitions, [&] {
-      Pli ab = a_csr.Intersect(b_csr);
-      csr_clusters = ab.NumClusters();
-      benchmark::DoNotOptimize(ab);
-    });
-    int64_t bm_clusters = 0;
-    const int64_t bitmap_us = MedianMicros(repetitions, [&] {
-      Pli ab = a_bm.Intersect(b_bm);
-      bm_clusters = ab.NumClusters();
-      benchmark::DoNotOptimize(ab);
-    });
-    if (csr_clusters != bm_clusters) {
-      std::fprintf(stderr, "kernel mismatch: csr=%lld bitmap=%lld\n",
-                   static_cast<long long>(csr_clusters),
-                   static_cast<long long>(bm_clusters));
-    }
-    report("bitmap_intersect/rows=" + std::to_string(rows) +
-               "/card=" + std::to_string(card),
-           csr_us, bitmap_us, {{"rows", rows}, {"card", card}});
-  }
-
-  // Refinement: LHS with 64 clusters, determined candidate of domain 7
-  // (full scan, single-word masks) — and the batched variant over eight
-  // candidates, where the sidecar replaces the probe-table fill.
-  {
-    const int64_t card = 64;
-    Relation r = MakeColumns(rows, card, 2);
-    const Pli a_csr =
-        Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kCsr);
-    const Pli a_bm =
-        Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kBitmap);
-    const Column candidate = MakeDeterminedColumn(r.GetColumn(0), 7);
-    // Single-candidate refine dispatches to the mask kernel only on
-    // memory-bound relations (the gather walk wins while the candidate
-    // codes are cache-resident), so measure it at 1M rows where the
-    // dispatch actually switches over.
-    Relation big = MakeColumns(1000000, card, 2);
-    const Pli big_csr =
-        Pli::FromColumn(big.GetColumn(0), big.NumRows(), PliImpl::kCsr);
-    const Pli big_bm =
-        Pli::FromColumn(big.GetColumn(0), big.NumRows(), PliImpl::kBitmap);
-    const Column big_candidate = MakeDeterminedColumn(big.GetColumn(0), 7);
-    benchmark::DoNotOptimize(big_csr.Refines(big_candidate));
-    const int64_t csr_us = MedianMicros(repetitions, [&] {
-      benchmark::DoNotOptimize(big_csr.Refines(big_candidate));
-    });
-    benchmark::DoNotOptimize(big_bm.Refines(big_candidate));
-    const int64_t bitmap_us = MedianMicros(repetitions, [&] {
-      benchmark::DoNotOptimize(big_bm.Refines(big_candidate));
-    });
-    report("bitmap_refine/rows=1000000/card=" + std::to_string(card),
-           csr_us, bitmap_us, {{"rows", int64_t{1000000}}, {"card", card}});
-
-    std::vector<Column> batch;
-    for (int64_t d = 2; d < 10; ++d) {
-      batch.push_back(MakeDeterminedColumn(r.GetColumn(0), d));
-    }
-    std::vector<const Column*> pointers;
-    for (const Column& column : batch) pointers.push_back(&column);
-    std::vector<uint8_t> valid;
-    const int64_t all_csr_us = MedianMicros(repetitions, [&] {
-      a_csr.RefinesAll(pointers, &valid);
-      benchmark::DoNotOptimize(valid.data());
-    });
-    const int64_t all_bitmap_us = MedianMicros(repetitions, [&] {
-      a_bm.RefinesAll(pointers, &valid);
-      benchmark::DoNotOptimize(valid.data());
-    });
-    report("bitmap_refines_all/rows=" + std::to_string(rows) +
-               "/card=" + std::to_string(card) + "/k=8",
-           all_csr_us, all_bitmap_us, {{"rows", rows}, {"card", card}});
-  }
-  std::printf("\n");
-}
-
 void RunKernelComparisons(bool full) {
   bench::JsonResultWriter writer("micro_pli");
   RunIntersectKernelComparison(full, &writer);
   RunSimdKernelComparison(full, &writer);
-  RunBitmapKernelComparison(full, &writer);
   writer.Write();
   std::printf("wrote BENCH_micro_pli.json\n\n");
 }

@@ -197,8 +197,7 @@ int Run(int argc, char** argv) {
   int64_t reloads = 0;
   for (int rep = 0; rep < reps; ++rep) {
     PliCache rebuild(relation, /*budget_bytes=*/1);
-    PliCache tiered(relation, /*budget_bytes=*/1, nullptr, PliImpl::kAuto,
-                    TempSpill());
+    PliCache tiered(relation, /*budget_bytes=*/1, nullptr, TempSpill());
     for (const ColumnSet& set : sets) {
       rebuild.Get(set);
       tiered.Get(set);

@@ -4,8 +4,8 @@
 // the code streams of a small relation. Every kernel — FromColumn,
 // Intersect, Refines, RefinesAll, ForEmptySet — is checked against a naive
 // map-based partition oracle computed straight from the codes, and the
-// bitmap-sidecar implementation (plus the runtime-scalar SIMD variant of
-// both) is cross-checked against the scalar CSR answers.
+// native and runtime-scalar SIMD variants are cross-checked against each
+// other.
 
 #include <algorithm>
 #include <cstdint>
@@ -175,27 +175,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                 intersected.Refines(*candidate_columns[k]));
   }
 
-  // Implementation axis: pinned-bitmap and forced-scalar variants must
-  // reproduce the scalar CSR results bit for bit (partitions canonically).
-  for (const PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap}) {
-    for (const bool scalar : {false, true}) {
-      if (scalar) simd::ForceScalar(true);
-      const Pli va = Pli::FromColumn(relation.GetColumn(0), rows, impl);
-      const Pli vb = Pli::FromColumn(relation.GetColumn(1), rows, impl);
-      FUZZ_ASSERT(Materialize(va) == Materialize(pli_a));
-      const Pli vab = va.Intersect(vb);
-      FUZZ_ASSERT(Materialize(vab) == expected);
-      FUZZ_ASSERT(vab.NumNonSingletonRows() ==
-                  intersected.NumNonSingletonRows());
-      std::vector<uint8_t> variant_valid;
-      vab.RefinesAll(candidate_columns, &variant_valid);
-      FUZZ_ASSERT(variant_valid == valid);
-      for (int k = 0; k < num_candidates; ++k) {
-        const Column& column = relation.GetColumn(2 + k);
-        FUZZ_ASSERT(va.Refines(column) == pli_a.Refines(column));
-      }
-      if (scalar) simd::ForceScalar(false);
+  // SIMD axis: the native and forced-scalar kernels must reproduce the
+  // results above bit for bit (partitions canonically).
+  for (const bool scalar : {false, true}) {
+    if (scalar) simd::ForceScalar(true);
+    const Pli va = Pli::FromColumn(relation.GetColumn(0), rows);
+    const Pli vb = Pli::FromColumn(relation.GetColumn(1), rows);
+    FUZZ_ASSERT(Materialize(va) == Materialize(pli_a));
+    const Pli vab = va.Intersect(vb);
+    FUZZ_ASSERT(Materialize(vab) == expected);
+    FUZZ_ASSERT(vab.NumNonSingletonRows() ==
+                intersected.NumNonSingletonRows());
+    std::vector<uint8_t> variant_valid;
+    vab.RefinesAll(candidate_columns, &variant_valid);
+    FUZZ_ASSERT(variant_valid == valid);
+    for (int k = 0; k < num_candidates; ++k) {
+      const Column& column = relation.GetColumn(2 + k);
+      FUZZ_ASSERT(va.Refines(column) == pli_a.Refines(column));
     }
+    if (scalar) simd::ForceScalar(false);
   }
   return 0;
 }

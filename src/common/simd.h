@@ -5,9 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 
-// Portable SIMD wrapper for the PLI hot kernels (probe-table fill, cluster
-// scans, bitmap-mask violation tests). The instruction set is selected at
-// compile time: AVX2 when the build enables it (the top-level CMakeLists
+// Portable SIMD wrapper for the hot kernels (probe-table fill, cluster
+// scans, the ingest interning-table probe). The instruction set is selected
+// at compile time: AVX2 when the build enables it (the top-level CMakeLists
 // probes the host and adds -mavx2 when it runs), NEON on AArch64, and a
 // scalar fallback everywhere else. MUDS_SIMD_OFF (cmake -DMUDS_SIMD=off)
 // forces the scalar fallback at compile time.
@@ -118,81 +118,6 @@ inline bool AllEqualGather(const int32_t* codes, const int32_t* rows,
     if (codes[rows[i]] != expected) return false;
   }
   return true;
-}
-
-/// True iff any word in w[0..n) has at least two bits set — the violation
-/// test over single-word (domain <= 64) bitmap-PLI masks: a cluster whose
-/// seen-mask holds two distinct codes breaks the refinement.
-inline bool AnyMultiBit(const uint64_t* w, size_t n) {
-  size_t i = 0;
-#if defined(MUDS_SIMD_AVX2)
-  if (!ScalarForced()) {
-    const __m256i ones = _mm256_set1_epi64x(1);
-    for (; i + 4 <= n; i += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-      const __m256i lsb_cleared =
-          _mm256_and_si256(v, _mm256_sub_epi64(v, ones));
-      if (!_mm256_testz_si256(lsb_cleared, lsb_cleared)) return true;
-    }
-  }
-#elif defined(MUDS_SIMD_NEON)
-  if (!ScalarForced()) {
-    for (; i + 2 <= n; i += 2) {
-      const uint64x2_t v = vld1q_u64(w + i);
-      const uint64x2_t lsb_cleared =
-          vandq_u64(v, vsubq_u64(v, vdupq_n_u64(1)));
-      if ((vgetq_lane_u64(lsb_cleared, 0) | vgetq_lane_u64(lsb_cleared, 1)) !=
-          0) {
-        return true;
-      }
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    const uint64_t v = w[i];
-    if ((v & (v - 1)) != 0) return true;
-  }
-  return false;
-}
-
-/// True iff any 4-word group in w[0..4*groups) holds at least two set bits
-/// in total — the violation test over 4-word (domain <= 256) bitmap-PLI
-/// masks. A group violates if one word has two bits or two words are
-/// non-zero.
-inline bool AnyGroupMultiBit4(const uint64_t* w, size_t groups) {
-  size_t g = 0;
-#if defined(MUDS_SIMD_AVX2)
-  if (!ScalarForced()) {
-    const __m256i ones = _mm256_set1_epi64x(1);
-    const __m256i zero = _mm256_setzero_si256();
-    for (; g < groups; ++g) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4 * g));
-      const __m256i lsb_cleared =
-          _mm256_and_si256(v, _mm256_sub_epi64(v, ones));
-      if (!_mm256_testz_si256(lsb_cleared, lsb_cleared)) return true;
-      // Count non-zero 64-bit lanes: each contributes 8 bytes to the
-      // movemask, so a single non-zero lane yields exactly 8 set bits.
-      const int zero_mask =
-          _mm256_movemask_epi8(_mm256_cmpeq_epi64(v, zero));
-      const int nonzero_lanes =
-          4 - __builtin_popcount(static_cast<unsigned>(zero_mask)) / 8;
-      if (nonzero_lanes >= 2) return true;
-    }
-    return false;
-  }
-#endif
-  for (; g < groups; ++g) {
-    int bits = 0;
-    for (size_t j = 0; j < 4; ++j) {
-      const uint64_t v = w[4 * g + j];
-      if ((v & (v - 1)) != 0) return true;
-      bits += v != 0;
-      if (bits >= 2) return true;
-    }
-  }
-  return false;
 }
 
 /// Returns a 16-bit mask of the bytes in tags[0..16) equal to `tag` (bit i

@@ -6,7 +6,6 @@
 
 #include "common/spill.h"
 #include "core/sampling.h"
-#include "pli/position_list_index.h"
 
 namespace muds {
 
@@ -17,8 +16,8 @@ namespace muds {
 /// dialect, auto policy), and MudsOptions holds only MUDS' ablation knobs.
 ///
 /// None of these fields changes *what* is discovered: the IND/UCC/FD sets
-/// are identical for every seed, thread count, budget, PLI layout, spill
-/// setting and sampling budget. Only runtime, memory and the work counters
+/// are identical for every seed, thread count, budget, spill setting and
+/// sampling budget. Only runtime, memory and the work counters
 /// vary.
 struct EngineOptions {
   /// Seed for the randomized traversals (DUCC and the per-right-hand-side
@@ -36,12 +35,6 @@ struct EngineOptions {
   /// private DUCC cache; 0 = unlimited). Evicted entries are transparently
   /// rebuilt, so a tight budget only trades rebuild work for memory.
   size_t pli_budget_bytes = size_t{1} << 30;  // PliCache::kDefaultBudgetBytes
-
-  /// PLI representation strategy (--pli-impl). kAuto attaches the
-  /// low-cardinality bitmap sidecar where it pays off, kCsr forces the
-  /// flat-CSR reference layout, kBitmap forces the sidecar whenever
-  /// representable.
-  PliImpl pli_impl = PliImpl::kAuto;
 
   /// Tiered-storage configuration (--spill-dir / --spill-budget-mb). When
   /// enabled, PLI-cache evictions demote entries to a disk spill file

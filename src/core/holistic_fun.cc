@@ -47,7 +47,7 @@ HolisticResult HolisticFun::Run(const Relation& relation,
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
     FdDiscoveryResult fd_result =
-        Fun::Discover(relation, engine.pli_impl, engine.sampling);
+        Fun::Discover(relation, engine.sampling);
     result.fds = std::move(fd_result.fds);
     result.uccs = std::move(fd_result.uccs);
     result.fd_checks = fd_result.fd_checks;
@@ -74,8 +74,7 @@ HolisticResult Baseline::Run(const Relation& relation,
     // DUCC builds its own PLIs: no sharing in the baseline. The same goes
     // for its evidence store — FUN samples its own below, matching the
     // baseline's no-sharing contract.
-    PliCache cache(relation, engine.pli_budget_bytes, &pool, engine.pli_impl,
-                   engine.spill);
+    PliCache cache(relation, engine.pli_budget_bytes, &pool, engine.spill);
     std::optional<EvidenceStore> evidence;
     if (engine.sampling.enabled() && relation.NumRows() > 1) {
       MUDS_TRACE_SPAN("evidenceBuild");
@@ -104,7 +103,7 @@ HolisticResult Baseline::Run(const Relation& relation,
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
     FdDiscoveryResult fd_result =
-        Fun::Discover(relation, engine.pli_impl, engine.sampling);
+        Fun::Discover(relation, engine.sampling);
     result.fds = std::move(fd_result.fds);
     result.fd_checks = fd_result.fd_checks;
     result.pli_intersects += fd_result.pli_intersects;

@@ -45,11 +45,10 @@ class HolisticFun {
   /// pool task next to FUN; the discovered dependency sets are identical
   /// for every thread count. Phase timings measure each task's own elapsed
   /// time, so with several threads they can sum to more than the wall
-  /// clock. FUN materializes its lattice in `engine.pli_impl` and, with
-  /// sampling enabled, refutes Lemma-1 candidates against a sampled
-  /// evidence store first. `engine.pli_budget_bytes` and `engine.seed` are
-  /// unused: FUN keeps its lattice PLIs outside any cache and is not
-  /// randomized.
+  /// clock. With sampling enabled, FUN refutes Lemma-1 candidates against
+  /// a sampled evidence store first. `engine.pli_budget_bytes` and
+  /// `engine.seed` are unused: FUN keeps its lattice PLIs outside any cache
+  /// and is not randomized.
   static HolisticResult Run(const Relation& relation,
                             const EngineOptions& engine = {});
 };

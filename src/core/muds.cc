@@ -517,7 +517,7 @@ void MudsRunner::RunSpider() {
   std::future<std::vector<Ind>> inds = pool_->Submit(
       [this] { return Spider::Discover(relation_, engine_.spill); });
   cache_.emplace(relation_, engine_.pli_budget_bytes, &*pool_,
-                 engine_.pli_impl, engine_.spill);
+                 engine_.spill);
   result_.inds = inds.get();
   active_ = relation_.ActiveColumns();
 }

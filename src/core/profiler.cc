@@ -36,8 +36,7 @@ Algorithm ChooseAutomatically(const Relation& relation,
   {
     MUDS_TRACE_SPAN(timings, "autoSelect");
     ThreadPool pool(options.num_threads);
-    PliCache cache(relation, options.pli_budget_bytes, &pool,
-                   options.pli_impl);
+    PliCache cache(relation, options.pli_budget_bytes, &pool);
     Ducc::Options ducc_options;
     ducc_options.seed = options.seed;
     uccs = Ducc::Discover(relation, &cache, ducc_options);

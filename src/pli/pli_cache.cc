@@ -50,8 +50,8 @@ struct CacheCounters {
 }  // namespace
 
 PliCache::PliCache(const Relation& relation, size_t budget_bytes,
-                   ThreadPool* pool, PliImpl impl, const SpillConfig& spill)
-    : relation_(&relation), budget_bytes_(budget_bytes), impl_(impl) {
+                   ThreadPool* pool, const SpillConfig& spill)
+    : relation_(&relation), budget_bytes_(budget_bytes) {
   CacheCounters::Get();  // Register the pli_cache.* metrics.
   if (spill.enabled() && budget_bytes_ != kUnlimitedBudget) {
     Result<std::unique_ptr<SpillPool>> created = SpillPool::Create(spill);
@@ -67,7 +67,7 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
   std::vector<std::shared_ptr<const Pli>> singles(static_cast<size_t>(n));
   const auto build = [&](int64_t c) {
     singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::FromColumn(
-        relation.GetColumn(static_cast<int>(c)), relation.NumRows(), impl_));
+        relation.GetColumn(static_cast<int>(c)), relation.NumRows()));
   };
   if (pool != nullptr && pool->NumThreads() > 1) {
     pool->ParallelFor(0, n, build);
@@ -79,7 +79,7 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
            /*pinned=*/true);
   }
   Insert(ColumnSet(),
-         std::make_shared<Pli>(Pli::ForEmptySet(relation.NumRows(), impl_)),
+         std::make_shared<Pli>(Pli::ForEmptySet(relation.NumRows())),
          /*pinned=*/true);
   const size_t pinned = pinned_bytes_.load(std::memory_order_relaxed);
   if (budget_bytes_ != kUnlimitedBudget && pinned > budget_bytes_) {
@@ -309,7 +309,7 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
     }
     singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::MergeAppend(
         *old, relation_->GetColumn(static_cast<int>(c)),
-        delta.columns[static_cast<size_t>(c)], delta.new_num_rows, impl_));
+        delta.columns[static_cast<size_t>(c)], delta.new_num_rows));
   };
   if (pool != nullptr && pool->NumThreads() > 1) {
     pool->ParallelFor(0, n, merge);
@@ -330,7 +330,7 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
         std::shared_ptr<const Pli> updated =
             it->first.Count() == 0
                 ? std::make_shared<Pli>(
-                      Pli::ForEmptySet(delta.new_num_rows, impl_))
+                      Pli::ForEmptySet(delta.new_num_rows))
                 : singles[static_cast<size_t>(it->first.ToIndices()[0])];
         const size_t old_bytes = entry.bytes;
         entry.pli = std::move(updated);

@@ -48,7 +48,7 @@ namespace muds {
 /// rewriting (PLIs are immutable). When the spill pool's own byte budget is
 /// exhausted, eviction degrades to the in-memory behavior: drop and rebuild.
 /// Either way correctness is unaffected — PLI construction is deterministic,
-/// and the round-trip is exact (sidecar included).
+/// and the round-trip is exact.
 ///
 /// Thread safety: the cache is safe for concurrent Get/GetIfCached/Put/
 /// Size/NumIntersects/GetStats. Entries live in a fixed number of
@@ -76,13 +76,11 @@ class PliCache {
   /// the cache. `budget_bytes` bounds the cached PLI payload (0 = no
   /// bound). If `pool` is non-null and parallel, the single-column PLIs are
   /// built concurrently (one task per column — they are independent).
-  /// `impl` selects the PLI representation for the pinned base PLIs;
-  /// derived (intersected) entries inherit it through sidecar propagation.
   /// `spill` (when enabled) activates the cold tier; if the spill file
   /// cannot be created the cache warns and runs single-tier.
   explicit PliCache(const Relation& relation,
                     size_t budget_bytes = kDefaultBudgetBytes,
-                    ThreadPool* pool = nullptr, PliImpl impl = PliImpl::kAuto,
+                    ThreadPool* pool = nullptr,
                     const SpillConfig& spill = SpillConfig());
 
   PliCache(const PliCache&) = delete;
@@ -168,9 +166,6 @@ class PliCache {
 
   size_t budget_bytes() const { return budget_bytes_; }
 
-  /// Representation strategy the cache builds its PLIs with.
-  PliImpl impl() const { return impl_; }
-
   /// True when the cold tier is active (spill configured and file created).
   bool spill_enabled() const { return spill_pool_ != nullptr; }
 
@@ -233,7 +228,6 @@ class PliCache {
   const Relation* relation_;
   std::array<Shard, kNumShards> shards_;
   size_t budget_bytes_;
-  PliImpl impl_ = PliImpl::kAuto;
   std::unique_ptr<SpillPool> spill_pool_;
   std::atomic<size_t> num_cached_{0};
   std::atomic<size_t> bytes_cached_{0};

@@ -27,54 +27,13 @@ struct Arena {
   std::vector<RowId> scratch_rows;  // Compacted result rows.
   std::vector<uint32_t> scratch_offsets;
   std::vector<int32_t> expected;    // RefinesAll: code per (cluster, cand).
-  std::vector<uint64_t> masks;      // Bitmap refine: seen-mask per cluster.
 };
 
 thread_local Arena t_arena;
 
 constexpr uint32_t kSkip = std::numeric_limits<uint32_t>::max();
 
-// Below this row count kAuto skips the sidecar: the fast paths cannot
-// recoup even the sidecar's construction pass.
-constexpr RowId kAutoSidecarMinRows = 64;
-
-// The bitmap refine checks the accumulated seen-masks for violations every
-// this many streamed rows — often enough that violated candidates exit
-// early, rarely enough that the (SIMD) mask scan amortizes to noise.
-constexpr RowId kMaskCheckStride = 8192;
-
-// Refines dispatches to the bitmap mask kernel only above this row count:
-// below it the candidate codes fit in cache and the gather walk is faster;
-// above it the walk's out-of-order code loads miss to memory and the mask
-// kernel's sequential stream wins (measured 2.6x at 1M rows, 4.5x at 4M).
-constexpr RowId kBitmapRefineMinRows = 1 << 18;
-
 }  // namespace
-
-bool ParsePliImpl(const std::string& name, PliImpl* impl) {
-  if (name == "auto") {
-    *impl = PliImpl::kAuto;
-  } else if (name == "csr") {
-    *impl = PliImpl::kCsr;
-  } else if (name == "bitmap") {
-    *impl = PliImpl::kBitmap;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ToString(PliImpl impl) {
-  switch (impl) {
-    case PliImpl::kAuto:
-      return "auto";
-    case PliImpl::kCsr:
-      return "csr";
-    case PliImpl::kBitmap:
-      return "bitmap";
-  }
-  return "auto";
-}
 
 Pli::Pli(std::vector<RowId> rows, std::vector<uint32_t> offsets,
          RowId num_rows)
@@ -98,24 +57,9 @@ Pli::Pli(const std::vector<Cluster>& clusters, RowId num_rows)
     rows_.insert(rows_.end(), cluster.begin(), cluster.end());
     offsets_.push_back(static_cast<uint32_t>(rows_.size()));
   }
-  MaybeAttachSidecar(PliImpl::kAuto);
 }
 
-void Pli::MaybeAttachSidecar(PliImpl impl) {
-  if (impl == PliImpl::kCsr) return;
-  const int64_t num_clusters = NumClusters();
-  if (num_clusters < 1 || num_clusters > kMaxSidecarClusters) return;
-  if (impl == PliImpl::kAuto && num_rows_ < kAutoSidecarMinRows) return;
-  cluster_of_row_.assign(static_cast<size_t>(num_rows_), kNoCluster);
-  for (int64_t i = 0; i < num_clusters; ++i) {
-    const uint16_t id = static_cast<uint16_t>(i);
-    for (const RowId row : cluster(i)) {
-      cluster_of_row_[static_cast<size_t>(row)] = id;
-    }
-  }
-}
-
-Pli Pli::FromColumn(const Column& column, RowId num_rows, PliImpl impl) {
+Pli Pli::FromColumn(const Column& column, RowId num_rows) {
   MUDS_CHECK(static_cast<RowId>(column.codes.size()) == num_rows);
   const size_t cardinality = column.dictionary.size();
   Arena& arena = t_arena;
@@ -156,14 +100,11 @@ Pli Pli::FromColumn(const Column& column, RowId num_rows, PliImpl impl) {
         static_cast<size_t>(column.codes[static_cast<size_t>(row)]);
     if (arena.cursor[c] != kSkip) rows[arena.cursor[c]++] = row;
   }
-  Pli pli(std::move(rows), std::move(offsets), num_rows);
-  pli.MaybeAttachSidecar(impl);
-  return pli;
+  return Pli(std::move(rows), std::move(offsets), num_rows);
 }
 
 Pli Pli::MergeAppend(const Pli& old, const Column& column,
-                     const ColumnAppendDelta& delta, RowId num_rows,
-                     PliImpl impl) {
+                     const ColumnAppendDelta& delta, RowId num_rows) {
   const RowId old_rows = old.NumRows();
   MUDS_CHECK(static_cast<RowId>(column.codes.size()) == num_rows &&
              old_rows <= num_rows);
@@ -238,12 +179,10 @@ Pli Pli::MergeAppend(const Pli& old, const Column& column,
     offsets.push_back(out);
   }
   MUDS_DCHECK(next_old_cluster == old.NumClusters());
-  Pli pli(std::move(rows), std::move(offsets), num_rows);
-  pli.MaybeAttachSidecar(impl);
-  return pli;
+  return Pli(std::move(rows), std::move(offsets), num_rows);
 }
 
-Pli Pli::ForEmptySet(RowId num_rows, PliImpl impl) {
+Pli Pli::ForEmptySet(RowId num_rows) {
   std::vector<RowId> rows;
   std::vector<uint32_t> offsets = {0};
   if (num_rows >= 2) {
@@ -251,9 +190,7 @@ Pli Pli::ForEmptySet(RowId num_rows, PliImpl impl) {
     std::iota(rows.begin(), rows.end(), RowId{0});
     offsets.push_back(static_cast<uint32_t>(num_rows));
   }
-  Pli pli(std::move(rows), std::move(offsets), num_rows);
-  pli.MaybeAttachSidecar(impl);
-  return pli;
+  return Pli(std::move(rows), std::move(offsets), num_rows);
 }
 
 Pli Pli::Intersect(const Pli& other) const {
@@ -263,18 +200,6 @@ Pli Pli::Intersect(const Pli& other) const {
   const Pli& small =
       NumNonSingletonRows() <= other.NumNonSingletonRows() ? *this : other;
   const Pli& large = &small == this ? other : *this;
-
-  // Pair-code counting sort when both sides carry a sidecar and the pair
-  // domain is small relative to the input: it replaces the probe-table
-  // fill, the per-cluster touch bookkeeping, and the hash-like scattered
-  // counts with three sequential passes over dense arrays.
-  if (small.HasBitmap() && large.HasBitmap()) {
-    const int64_t pairs = small.NumClusters() * large.NumClusters();
-    if (pairs > 0 &&
-        (pairs <= 4096 || pairs <= 4 * static_cast<int64_t>(num_rows_))) {
-      return small.IntersectPairCodes(large);
-    }
-  }
 
   Arena& arena = t_arena;
   large.FillProbeTable(&arena.probe);
@@ -329,78 +254,10 @@ Pli Pli::Intersect(const Pli& other) const {
                           arena.scratch_rows.begin() + out_position);
   std::vector<uint32_t> offsets(arena.scratch_offsets.begin(),
                                 arena.scratch_offsets.end());
-  Pli result(std::move(rows), std::move(offsets), num_rows_);
-  if (HasBitmap() || other.HasBitmap()) {
-    result.MaybeAttachSidecar(PliImpl::kBitmap);
-  }
-  return result;
-}
-
-Pli Pli::IntersectPairCodes(const Pli& other) const {
-  // `this` is the side with fewer clustered rows; its CSR walk provides the
-  // first pair component for free, the other side's sidecar is gathered for
-  // the second. Both cluster counts are <= kMaxSidecarClusters, so the pair
-  // domain fits a dense counting-sort table (<= 64K entries).
-  Arena& arena = t_arena;
-  const size_t k_other = static_cast<size_t>(other.NumClusters());
-  const size_t pairs = static_cast<size_t>(NumClusters()) * k_other;
-  const uint16_t* other_side = other.cluster_of_row_.data();
-
-  arena.count.assign(pairs, 0);
-  const int64_t num_small = NumClusters();
-  for (int64_t i = 0; i < num_small; ++i) {
-    const size_t base = static_cast<size_t>(i) * k_other;
-    for (const RowId row : cluster(i)) {
-      const uint16_t id = other_side[static_cast<size_t>(row)];
-      if (id != kNoCluster) ++arena.count[base + id];
-    }
-  }
-
-  if (arena.cursor.size() < pairs) arena.cursor.resize(pairs);
-  const size_t max_rows = static_cast<size_t>(NumNonSingletonRows());
-  if (arena.scratch_rows.size() < max_rows) arena.scratch_rows.resize(max_rows);
-  arena.scratch_offsets.clear();
-  arena.scratch_offsets.push_back(0);
-  uint32_t out_position = 0;
-  for (size_t p = 0; p < pairs; ++p) {
-    if (arena.count[p] >= 2) {
-      arena.cursor[p] = out_position;
-      out_position += arena.count[p];
-      arena.scratch_offsets.push_back(out_position);
-    } else {
-      arena.cursor[p] = kSkip;
-    }
-  }
-
-  for (int64_t i = 0; i < num_small; ++i) {
-    const size_t base = static_cast<size_t>(i) * k_other;
-    for (const RowId row : cluster(i)) {
-      const uint16_t id = other_side[static_cast<size_t>(row)];
-      if (id == kNoCluster) continue;
-      uint32_t& cursor = arena.cursor[base + id];
-      if (cursor != kSkip) arena.scratch_rows[cursor++] = row;
-    }
-  }
-
-  std::vector<RowId> rows(arena.scratch_rows.begin(),
-                          arena.scratch_rows.begin() + out_position);
-  std::vector<uint32_t> offsets(arena.scratch_offsets.begin(),
-                                arena.scratch_offsets.end());
-  Pli result(std::move(rows), std::move(offsets), num_rows_);
-  result.MaybeAttachSidecar(PliImpl::kBitmap);
-  return result;
+  return Pli(std::move(rows), std::move(offsets), num_rows_);
 }
 
 bool Pli::Refines(const Column& column) const {
-  // The mask kernel reads the candidate codes sequentially; the
-  // per-cluster walk reads them in row order within each cluster, which is
-  // effectively random across the column. Cache-resident columns favor the
-  // (gathered) walk, larger ones are memory-bound and the sequential
-  // stream wins by whole multiples — so dispatch on size, not SIMD level.
-  if (HasBitmap() && num_rows_ >= kBitmapRefineMinRows &&
-      static_cast<int64_t>(column.dictionary.size()) <= 256) {
-    return RefinesBitmap(column);
-  }
   const int64_t num_clusters = NumClusters();
   const int32_t* codes = column.codes.data();
   for (int64_t i = 0; i < num_clusters; ++i) {
@@ -411,83 +268,6 @@ bool Pli::Refines(const Column& column) const {
                               end - begin - 1, expected)) {
       return false;
     }
-  }
-  return true;
-}
-
-bool Pli::RefinesBitmap(const Column& column) const {
-  // Word-parallel refinement: one seen-mask per LHS cluster, one bit per
-  // candidate code. A cluster with two distinct codes — two mask bits —
-  // violates the FD. Domain <= 64 uses a single word per cluster, <= 256
-  // a 4-word group; violations are detected by the (SIMD) multi-bit scans.
-  const size_t k = static_cast<size_t>(NumClusters());
-  const size_t card = column.dictionary.size();
-  const int32_t* codes = column.codes.data();
-  Arena& arena = t_arena;
-  // Dense clusters: stream every row once through the sidecar (purely
-  // sequential). Sparse clusters: walk only the clustered rows via CSR.
-  const bool dense = 2 * NumNonSingletonRows() >= num_rows_;
-
-  if (card <= 64) {
-    if (dense) {
-      arena.masks.assign(k, 0);
-      const uint16_t* side = cluster_of_row_.data();
-      const size_t n = static_cast<size_t>(num_rows_);
-      size_t next_check = static_cast<size_t>(kMaskCheckStride);
-      for (size_t row = 0; row < n; ++row) {
-        const uint16_t id = side[row];
-        if (id != kNoCluster) {
-          arena.masks[id] |= uint64_t{1} << codes[row];
-        }
-        if (row >= next_check) {
-          if (simd::AnyMultiBit(arena.masks.data(), k)) return false;
-          next_check += static_cast<size_t>(kMaskCheckStride);
-        }
-      }
-      return !simd::AnyMultiBit(arena.masks.data(), k);
-    }
-    for (size_t i = 0; i < k; ++i) {
-      uint64_t mask = 0;
-      const size_t begin = offsets_[i];
-      const size_t end = offsets_[i + 1];
-      for (size_t j = begin; j < end; ++j) {
-        mask |= uint64_t{1} << codes[static_cast<size_t>(rows_[j])];
-        if ((mask & (mask - 1)) != 0) return false;
-      }
-    }
-    return true;
-  }
-
-  // 4-word masks (domain <= 256).
-  if (dense) {
-    arena.masks.assign(4 * k, 0);
-    const uint16_t* side = cluster_of_row_.data();
-    const size_t n = static_cast<size_t>(num_rows_);
-    size_t next_check = static_cast<size_t>(kMaskCheckStride);
-    for (size_t row = 0; row < n; ++row) {
-      const uint16_t id = side[row];
-      if (id != kNoCluster) {
-        const uint32_t code = static_cast<uint32_t>(codes[row]);
-        arena.masks[4 * static_cast<size_t>(id) + (code >> 6)] |=
-            uint64_t{1} << (code & 63);
-      }
-      if (row >= next_check) {
-        if (simd::AnyGroupMultiBit4(arena.masks.data(), k)) return false;
-        next_check += static_cast<size_t>(kMaskCheckStride);
-      }
-    }
-    return !simd::AnyGroupMultiBit4(arena.masks.data(), k);
-  }
-  for (size_t i = 0; i < k; ++i) {
-    uint64_t mask[4] = {0, 0, 0, 0};
-    const size_t begin = offsets_[i];
-    const size_t end = offsets_[i + 1];
-    for (size_t j = begin; j < end; ++j) {
-      const uint32_t code =
-          static_cast<uint32_t>(codes[static_cast<size_t>(rows_[j])]);
-      mask[code >> 6] |= uint64_t{1} << (code & 63);
-    }
-    if (simd::AnyGroupMultiBit4(mask, 1)) return false;
   }
   return true;
 }
@@ -511,27 +291,6 @@ void Pli::RefinesAll(std::span<const Column* const> columns,
   Arena& arena = t_arena;
   arena.expected.assign(num_clusters * k, -1);
   size_t alive = k;
-  if (HasBitmap()) {
-    // The sidecar already is the probe table (uint16 instead of int32) —
-    // the fill pass disappears entirely.
-    const uint16_t* side = cluster_of_row_.data();
-    for (RowId row = 0; row < num_rows_; ++row) {
-      const uint16_t id = side[static_cast<size_t>(row)];
-      if (id == kNoCluster) continue;
-      int32_t* expected = arena.expected.data() + static_cast<size_t>(id) * k;
-      for (size_t j = 0; j < k; ++j) {
-        if (!(*valid)[j]) continue;
-        const int32_t code = columns[j]->codes[static_cast<size_t>(row)];
-        if (expected[j] < 0) {
-          expected[j] = code;
-        } else if (expected[j] != code) {
-          (*valid)[j] = 0;
-          if (--alive == 0) return;
-        }
-      }
-    }
-    return;
-  }
   FillProbeTable(&arena.probe);
   for (RowId row = 0; row < num_rows_; ++row) {
     const int32_t id = arena.probe[static_cast<size_t>(row)];
@@ -554,16 +313,6 @@ void Pli::RefinesAll(std::span<const Column* const> columns,
 void Pli::FillProbeTable(std::vector<int32_t>* probe) const {
   const size_t n = static_cast<size_t>(num_rows_);
   if (probe->size() != n) probe->resize(n);
-  if (HasBitmap()) {
-    // Sequential widening pass — no fill + scatter round trip.
-    const uint16_t* side = cluster_of_row_.data();
-    int32_t* out = probe->data();
-    for (size_t row = 0; row < n; ++row) {
-      const uint16_t id = side[row];
-      out[row] = id == kNoCluster ? -1 : static_cast<int32_t>(id);
-    }
-    return;
-  }
   simd::FillI32(probe->data(), n, -1);
   const int64_t num_clusters = NumClusters();
   for (int64_t i = 0; i < num_clusters; ++i) {
@@ -577,12 +326,11 @@ void Pli::FillProbeTable(std::vector<int32_t>* probe) const {
 
 namespace {
 
-// Serialized layout: a 4-field header followed by the three arrays verbatim.
+// Serialized layout: a 3-field header followed by the two arrays verbatim.
 // Counts are element counts, not bytes.
 struct SerializedPliHeader {
   uint64_t rows_count;
   uint64_t offsets_count;
-  uint64_t sidecar_count;  // 0 when no bitmap sidecar is attached.
   uint64_t num_rows;
 };
 
@@ -605,21 +353,18 @@ const char* ConsumeArray(const char* in, uint64_t count, std::vector<T>* out) {
 
 size_t Pli::SerializedBytes() const {
   return sizeof(SerializedPliHeader) + rows_.size() * sizeof(RowId) +
-         offsets_.size() * sizeof(uint32_t) +
-         cluster_of_row_.size() * sizeof(uint16_t);
+         offsets_.size() * sizeof(uint32_t);
 }
 
 void Pli::SerializeTo(char* out) const {
   SerializedPliHeader header;
   header.rows_count = rows_.size();
   header.offsets_count = offsets_.size();
-  header.sidecar_count = cluster_of_row_.size();
   header.num_rows = static_cast<uint64_t>(num_rows_);
   std::memcpy(out, &header, sizeof(header));
   out += sizeof(header);
   out = AppendArray(out, rows_);
-  out = AppendArray(out, offsets_);
-  AppendArray(out, cluster_of_row_);
+  AppendArray(out, offsets_);
 }
 
 Result<Pli> Pli::Deserialize(const char* data, size_t bytes) {
@@ -628,32 +373,47 @@ Result<Pli> Pli::Deserialize(const char* data, size_t bytes) {
   }
   SerializedPliHeader header;
   std::memcpy(&header, data, sizeof(header));
-  const uint64_t payload = header.rows_count * sizeof(RowId) +
-                           header.offsets_count * sizeof(uint32_t) +
-                           header.sidecar_count * sizeof(uint16_t);
-  if (bytes != sizeof(header) + payload) {
+  // Both arrays hold 4-byte elements; bounding each count by the payload
+  // first keeps the size arithmetic below from overflowing.
+  static_assert(sizeof(RowId) == sizeof(uint32_t));
+  const uint64_t payload_elements =
+      (bytes - sizeof(header)) / sizeof(uint32_t);
+  if (header.rows_count > payload_elements ||
+      header.offsets_count > payload_elements ||
+      sizeof(header) + (header.rows_count + header.offsets_count) *
+                           sizeof(uint32_t) != bytes) {
     return Status::ParseError("pli: serialized buffer size mismatch");
   }
   if (header.offsets_count == 0) {
     return Status::ParseError("pli: serialized form missing offsets");
   }
-  if (header.sidecar_count != 0 && header.sidecar_count != header.num_rows) {
-    return Status::ParseError("pli: sidecar size does not match row count");
+  if (header.num_rows >
+          static_cast<uint64_t>(std::numeric_limits<RowId>::max()) ||
+      header.rows_count > header.num_rows) {
+    return Status::ParseError("pli: row count out of range");
   }
   std::vector<RowId> rows;
   std::vector<uint32_t> offsets;
-  std::vector<uint16_t> sidecar;
   const char* in = data + sizeof(header);
   in = ConsumeArray(in, header.rows_count, &rows);
-  in = ConsumeArray(in, header.offsets_count, &offsets);
-  ConsumeArray(in, header.sidecar_count, &sidecar);
+  ConsumeArray(in, header.offsets_count, &offsets);
+  // Every cluster holds at least two rows, so the offsets climb from 0 by
+  // at least 2 per step and end at the row count.
   if (offsets.front() != 0 || offsets.back() != rows.size()) {
     return Status::ParseError("pli: inconsistent cluster offsets");
   }
-  Pli pli(std::move(rows), std::move(offsets),
-          static_cast<RowId>(header.num_rows));
-  pli.cluster_of_row_ = std::move(sidecar);
-  return pli;
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    if (offsets[i] < offsets[i - 1] || offsets[i] - offsets[i - 1] < 2) {
+      return Status::ParseError("pli: cluster with fewer than two rows");
+    }
+  }
+  const RowId num_rows = static_cast<RowId>(header.num_rows);
+  for (const RowId row : rows) {
+    if (row < 0 || row >= num_rows) {
+      return Status::ParseError("pli: row id out of range");
+    }
+  }
+  return Pli(std::move(rows), std::move(offsets), num_rows);
 }
 
 }  // namespace muds

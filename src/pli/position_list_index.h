@@ -4,37 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "data/relation.h"
 
 namespace muds {
-
-/// Selects the PLI representation strategy (the `--pli-impl` axis).
-///
-/// Every strategy produces the same dependency sets — the choice only
-/// trades memory for refinement speed, and muds_diff verifies the outputs
-/// are identical across the whole axis.
-enum class PliImpl {
-  /// Flat CSR plus the low-cardinality bitmap sidecar when it pays off
-  /// (the default): sidecars attach when the PLI has 1..256 clusters and
-  /// the relation is large enough (>= 64 rows) for the fast paths to
-  /// matter.
-  kAuto,
-  /// Flat CSR only — the scalar reference layout; never attaches a
-  /// sidecar (and Intersect never propagates one).
-  kCsr,
-  /// Attach the sidecar whenever representable (1..256 clusters),
-  /// regardless of relation size.
-  kBitmap,
-};
-
-/// Parses "auto" / "csr" / "bitmap"; returns false on anything else.
-bool ParsePliImpl(const std::string& name, PliImpl* impl);
-
-const char* ToString(PliImpl impl);
 
 /// Position list index (PLI), also called a stripped partition (§2.2).
 ///
@@ -56,39 +31,19 @@ const char* ToString(PliImpl impl);
 /// All construction paths (FromColumn, Intersect) are allocation-free
 /// kernels over a reusable thread-local arena; the only allocations are the
 /// exact-size buffers of the returned PLI itself.
-///
-/// Low-cardinality specialization: when a PLI has at most 256 clusters (and
-/// the impl allows it) a bitmap sidecar `cluster_of_row` — one uint16
-/// cluster id per row, kNoCluster for stripped singletons — is attached.
-/// With the sidecar, Refines on memory-bound relations (beyond a row-count
-/// threshold; smaller columns stay on the cache-friendly gather walk)
-/// becomes a sequential word-parallel mask pass (domain <= 64: one 64-bit
-/// seen-mask per cluster; <= 256: a 4-word mask),
-/// RefinesAll skips the probe-table fill, and Intersect of two sidecar PLIs
-/// runs a counting sort over pair codes instead of hashing through a probe
-/// table. Sidecars propagate through Intersect; MemoryBytes() includes
-/// them, so the byte-budgeted PliCache stays accurate.
 class Pli {
  public:
   /// Materialized cluster type, kept for test oracles and builders that
   /// assemble clusters incrementally; the Pli itself stores CSR.
   using Cluster = std::vector<RowId>;
 
-  /// Sidecar id of rows outside every stripped cluster.
-  static constexpr uint16_t kNoCluster = 0xFFFF;
-
-  /// Max cluster count representable in the bitmap sidecar.
-  static constexpr int64_t kMaxSidecarClusters = 256;
-
   /// Builds the PLI of a single column (counting sort over the dictionary
-  /// codes; no per-cluster allocations). `impl` selects whether the bitmap
-  /// sidecar may attach.
-  static Pli FromColumn(const Column& column, RowId num_rows,
-                        PliImpl impl = PliImpl::kAuto);
+  /// codes; no per-cluster allocations).
+  static Pli FromColumn(const Column& column, RowId num_rows);
 
   /// PLI of the empty column combination: one cluster holding every row
   /// (empty if the relation has fewer than two rows).
-  static Pli ForEmptySet(RowId num_rows, PliImpl impl = PliImpl::kAuto);
+  static Pli ForEmptySet(RowId num_rows);
 
   /// PLI of `column` after a Relation::AppendBatch, built from `old` — the
   /// same column's PLI before the append — plus the per-column delta of
@@ -100,38 +55,29 @@ class Pli {
   /// and MergeAppend produce them (Intersect results do not qualify).
   /// The output is bit-identical to FromColumn over the grown column.
   static Pli MergeAppend(const Pli& old, const Column& column,
-                         const ColumnAppendDelta& delta, RowId num_rows,
-                         PliImpl impl = PliImpl::kAuto);
+                         const ColumnAppendDelta& delta, RowId num_rows);
 
   /// Flattens materialized clusters into CSR. Every cluster must have
   /// size >= 2 (checked in debug builds). Compatibility/test path — the hot
   /// construction paths never materialize nested clusters.
   Pli(const std::vector<Cluster>& clusters, RowId num_rows);
 
-  /// Intersects two PLIs: the PLI of X ∪ Y from the PLIs of X and Y. When
-  /// both operands carry a bitmap sidecar and the pair-code domain is small
-  /// enough, a counting sort over (id_a, id_b) pair codes replaces the
-  /// probe-table method; otherwise bucket compaction runs entirely in a
-  /// thread-local arena. Either way the result is written into its final
-  /// flat buffers — no per-cluster allocations — and a sidecar is attached
-  /// when one of the inputs had one and the result is representable. The
-  /// two kernels emit the same clusters (rows ascending within each
-  /// cluster); only the cluster order may differ, which no consumer
-  /// observes (dependency sets are order-independent).
+  /// Intersects two PLIs: the PLI of X ∪ Y from the PLIs of X and Y. The
+  /// operand with more clustered rows fills a probe table; each cluster of
+  /// the other is bucket-compacted through it entirely in a thread-local
+  /// arena, and the result is written into its final flat buffers — no
+  /// per-cluster allocations. Rows stay ascending within each cluster.
   Pli Intersect(const Pli& other) const;
 
   /// True if X functionally determines the column with the given codes
   /// (Lemma 1 via direct refinement: every cluster of X is constant in the
-  /// column). Cheaper than a full Intersect when only validity is needed.
-  /// With a bitmap sidecar and a low-cardinality candidate this is a
-  /// sequential mask pass; otherwise a per-cluster scan (SIMD-gathered
-  /// where available).
+  /// column). Cheaper than a full Intersect when only validity is needed:
+  /// a per-cluster scan, SIMD-gathered where available.
   bool Refines(const Column& column) const;
 
   /// Batched refinement: validates every candidate column in `columns` at
   /// once and writes 1/0 per candidate into `valid` (resized to
-  /// `columns.size()`). Fills the probe table once (or reuses the bitmap
-  /// sidecar as a ready-made probe table), then streams the rows
+  /// `columns.size()`). Fills the probe table once, then streams the rows
   /// sequentially, so the per-candidate cost is one sequential read of the
   /// candidate's code array instead of one random-access cluster walk each —
   /// the lattice check loops validate many right-hand sides against the same
@@ -176,21 +122,11 @@ class Pli {
   /// Always has NumClusters() + 1 entries (a lone 0 for an empty PLI).
   std::span<const uint32_t> offsets() const { return offsets_; }
 
-  /// True if the low-cardinality bitmap sidecar is attached.
-  bool HasBitmap() const { return !cluster_of_row_.empty(); }
-
-  /// The sidecar: cluster id per row (kNoCluster for stripped singletons).
-  /// Empty when no sidecar is attached.
-  std::span<const uint16_t> bitmap_cluster_of_row() const {
-    return cluster_of_row_;
-  }
-
   /// Heap footprint of this PLI in bytes — what the byte-budgeted PliCache
-  /// charges for a cached entry. Includes the bitmap sidecar.
+  /// charges for a cached entry.
   size_t MemoryBytes() const {
     return rows_.capacity() * sizeof(RowId) +
-           offsets_.capacity() * sizeof(uint32_t) +
-           cluster_of_row_.capacity() * sizeof(uint16_t) + sizeof(Pli);
+           offsets_.capacity() * sizeof(uint32_t) + sizeof(Pli);
   }
 
   /// Fills `probe` (size num_rows) with the cluster id of each row, or -1
@@ -202,34 +138,22 @@ class Pli {
   size_t SerializedBytes() const;
 
   /// Writes exactly SerializedBytes() bytes to `out`. The format captures
-  /// rows, offsets, the bitmap sidecar, and the row count verbatim, so a
-  /// reloaded PLI is identical to the original: sidecar presence is stored,
-  /// not re-derived from the attach policy.
+  /// rows, offsets and the row count verbatim, so a reloaded PLI is
+  /// identical to the original.
   void SerializeTo(char* out) const;
 
-  /// Inverse of SerializeTo. Fails with ParseError on a truncated or
-  /// inconsistent buffer.
+  /// Inverse of SerializeTo. Fails with ParseError on any buffer that does
+  /// not describe a valid PLI: truncated or oversized, offsets not strictly
+  /// ascending from 0 to the row count, a cluster of fewer than two rows,
+  /// or a row id outside [0, num_rows).
   static Result<Pli> Deserialize(const char* data, size_t bytes);
 
  private:
   // Takes ownership of pre-sized CSR buffers (the kernel entry point).
   Pli(std::vector<RowId> rows, std::vector<uint32_t> offsets, RowId num_rows);
 
-  // Attaches the uint16 sidecar when `impl` and the cluster count allow it
-  // (kAuto additionally requires num_rows_ >= 64). One sequential fill plus
-  // one scatter over the clustered rows; no-op when ineligible.
-  void MaybeAttachSidecar(PliImpl impl);
-
-  // Sidecar-specialized kernels (require HasBitmap()).
-  bool RefinesBitmap(const Column& column) const;
-  Pli IntersectPairCodes(const Pli& other) const;
-
   std::vector<RowId> rows_;        // Clustered rows, concatenated.
   std::vector<uint32_t> offsets_;  // NumClusters() + 1 cluster boundaries.
-  // Bitmap sidecar: cluster id per row, kNoCluster outside every cluster.
-  // Empty unless NumClusters() is in [1, kMaxSidecarClusters] and the
-  // construction impl allowed attachment.
-  std::vector<uint16_t> cluster_of_row_;
   RowId num_rows_;
 };
 

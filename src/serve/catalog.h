@@ -25,7 +25,7 @@ namespace serve {
 /// with two independently-seeded HashBytes streams (128 effective bits per
 /// blob, so near-misses — one changed byte — land on distinct keys) plus
 /// the result-affecting profile options (algorithm, traversal seed, CSV
-/// dialect, row cap). Deliberately absent: threads, PLI budget/impl, spill,
+/// dialect, row cap). Deliberately absent: threads, PLI budget, spill,
 /// and sampling, which are all bit-identical knobs — a repeat request hits
 /// regardless of the execution strategy that computed the entry.
 ///

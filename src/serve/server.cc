@@ -208,12 +208,28 @@ void Server::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     std::lock_guard<std::mutex> lock(mutex_);
+    ReapFinishedConnections();
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;
     Connection* raw = connection.get();
     connections_.push_back(std::move(connection));
-    raw->thread = std::thread([this, fd] { HandleConnection(fd); });
+    raw->thread = std::thread([this, raw] {
+      HandleConnection(raw->fd);
+      raw->done.store(true, std::memory_order_release);
+    });
   }
+}
+
+void Server::ReapFinishedConnections() {
+  // A done thread no longer touches mutex_, so joining it here cannot
+  // deadlock; closing under mutex_ keeps Shutdown() from calling shutdown()
+  // on an fd number the kernel has already handed out again.
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->done.load(std::memory_order_acquire)) return false;
+    c->thread.join();
+    ::close(c->fd);
+    return true;
+  });
 }
 
 void Server::HandleConnection(int fd) {

@@ -113,6 +113,9 @@ class Server {
   void AcceptLoop();
   void HandleConnection(int fd);
 
+  /// Joins and closes every finished connection. Caller holds mutex_.
+  void ReapFinishedConnections();
+
   /// One request frame -> one response frame (JSON text, unframed).
   std::string HandleRequest(const std::string& request_text,
                             bool* shutdown_requested);
@@ -150,6 +153,9 @@ class Server {
   std::unordered_map<JobId, std::shared_ptr<JobRecord>> records_;
   struct Connection {
     int fd = -1;
+    // Set by the connection thread as its last action; the accept loop
+    // then joins the thread and closes the fd.
+    std::atomic<bool> done{false};
     std::thread thread;
   };
   std::vector<std::unique_ptr<Connection>> connections_;

@@ -39,8 +39,8 @@ void ExpectSameSets(const ProfilingResult& a, const ProfilingResult& b,
 
 TEST(OutOfCoreTest, SpilledRunMatchesInMemoryRunOnOversizedInput) {
   // ~30k rows x 8 low-cardinality columns: the single-column PLIs alone
-  // hold ~30k row ids each (plus sidecars), so the derived working set of
-  // the lattice walk is far beyond 10x the 16 KiB budget below.
+  // hold ~30k row ids each, so the derived working set of the lattice walk
+  // is far beyond 10x the 16 KiB budget below.
   const Relation relation =
       MakeCategorical(30000, {6, 4, 8, 3, 5, 7, 2, 9}, 41, "out_of_core");
   constexpr size_t kTinyBudget = 16 << 10;

@@ -1,4 +1,4 @@
-// Concurrency of the SIMD/bitmap PLI kernels: Refines/RefinesAll/Intersect
+// Concurrency of the SIMD PLI kernels: Refines/RefinesAll/Intersect
 // are const and scratch through thread-local arenas, so any number of
 // threads may hammer the same shared PLIs; the runtime SIMD kill switch is
 // an atomic that may flip mid-flight without affecting correctness (it only
@@ -22,28 +22,28 @@ namespace {
 
 TEST(PliSimdConcurrencyTest, SharedPlisUnderConcurrentKernels) {
   Relation r = RandomRelation(/*seed=*/11, 4, 600, 5);
-  const Pli csr = Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kCsr);
-  const Pli bm =
-      Pli::FromColumn(r.GetColumn(0), r.NumRows(), PliImpl::kBitmap);
-  const Pli other =
-      Pli::FromColumn(r.GetColumn(1), r.NumRows(), PliImpl::kBitmap);
+  const Pli pli = Pli::FromColumn(r.GetColumn(0), r.NumRows());
+  const Pli other = Pli::FromColumn(r.GetColumn(1), r.NumRows());
   const Column& candidate = r.GetColumn(2);
   std::vector<const Column*> batch = {&r.GetColumn(2), &r.GetColumn(3)};
 
-  const bool expected_refines = csr.Refines(candidate);
-  const int64_t expected_clusters = csr.Intersect(other).NumClusters();
+  const bool expected_refines = pli.Refines(candidate);
+  std::vector<uint8_t> expected_valid;
+  pli.RefinesAll(batch, &expected_valid);
+  const int64_t expected_clusters = pli.Intersect(other).NumClusters();
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (int iter = 0; iter < 50; ++iter) {
-        const Pli& pli = (iter + t) % 2 == 0 ? csr : bm;
+        const Pli& lhs = (iter + t) % 2 == 0 ? pli : other;
+        const Pli& rhs = &lhs == &pli ? other : pli;
         if (pli.Refines(candidate) != expected_refines) ++failures;
         std::vector<uint8_t> valid;
         pli.RefinesAll(batch, &valid);
-        if (valid.size() != batch.size()) ++failures;
-        if (pli.Intersect(other).NumClusters() != expected_clusters) {
+        if (valid != expected_valid) ++failures;
+        if (lhs.Intersect(rhs).NumClusters() != expected_clusters) {
           ++failures;
         }
       }

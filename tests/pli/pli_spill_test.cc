@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.h"
 #include "common/spill.h"
 #include "data/preprocess.h"
 #include "pli/pli_cache.h"
@@ -227,10 +228,7 @@ TEST(SpillPoolTest, InvalidDirFailsCreate) {
   EXPECT_FALSE(pool.ok());
 }
 
-// The serialized form must reproduce the PLI exactly — including whether
-// the bitmap sidecar is attached, which the attach policy alone cannot
-// recover (kAuto attaches by cluster count and row count; the wire format
-// stores the decision).
+// The serialized form must reproduce the PLI exactly.
 void ExpectRoundTripIdentity(const Pli& pli) {
   std::vector<char> buffer(pli.SerializedBytes());
   pli.SerializeTo(buffer.data());
@@ -247,34 +245,49 @@ void ExpectRoundTripIdentity(const Pli& pli) {
   for (size_t i = 0; i < pli.offsets().size(); ++i) {
     EXPECT_EQ(copy.offsets()[i], pli.offsets()[i]);
   }
-  EXPECT_EQ(copy.HasBitmap(), pli.HasBitmap());
-  ASSERT_EQ(copy.bitmap_cluster_of_row().size(),
-            pli.bitmap_cluster_of_row().size());
-  for (size_t i = 0; i < pli.bitmap_cluster_of_row().size(); ++i) {
-    EXPECT_EQ(copy.bitmap_cluster_of_row()[i], pli.bitmap_cluster_of_row()[i]);
-  }
 }
 
 TEST(PliSerializationTest, RoundTripIsIdentityAcrossImpls) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     const Relation r = RandomRelation(seed, 5, 300, 12);
-    for (PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap, PliImpl::kAuto}) {
+    // Native and scalar SIMD kernels both build what is serialized.
+    for (const bool scalar : {false, true}) {
+      simd::ForceScalar(scalar);
       for (int c = 0; c < r.NumColumns(); ++c) {
-        ExpectRoundTripIdentity(Pli::FromColumn(r.GetColumn(c), r.NumRows(),
-                                                impl));
+        ExpectRoundTripIdentity(
+            Pli::FromColumn(r.GetColumn(c), r.NumRows()));
       }
-      // Intersections too: sidecar propagation decisions must round-trip.
-      const Pli ab = Pli::FromColumn(r.GetColumn(0), r.NumRows(), impl)
+      // Intersections too: they are what the cache spills.
+      const Pli ab = Pli::FromColumn(r.GetColumn(0), r.NumRows())
                          .Intersect(Pli::FromColumn(r.GetColumn(1),
-                                                    r.NumRows(), impl));
+                                                    r.NumRows()));
       ExpectRoundTripIdentity(ab);
     }
+    simd::ForceScalar(false);
   }
   // Degenerate shapes: unique column (empty PLI) and the empty-set PLI.
   const Relation unique = RandomRelation(3, 1, 50, 1000);
   ExpectRoundTripIdentity(
       Pli::FromColumn(unique.GetColumn(0), unique.NumRows()));
   ExpectRoundTripIdentity(Pli::ForEmptySet(100));
+}
+
+// A wire-format buffer with the given header fields and arrays: the
+// 3 x uint64 header (rows_count, offsets_count, num_rows), then the rows,
+// then the offsets. `rows_count` is written as given, so a header can
+// claim more rows than the buffer holds.
+std::vector<char> CraftPli(uint64_t rows_count, std::vector<RowId> rows,
+                           std::vector<uint32_t> offsets, uint64_t num_rows) {
+  const uint64_t header[3] = {rows_count, offsets.size(), num_rows};
+  std::vector<char> out(sizeof(header) + rows.size() * sizeof(RowId) +
+                        offsets.size() * sizeof(uint32_t));
+  char* at = out.data();
+  std::memcpy(at, header, sizeof(header));
+  at += sizeof(header);
+  if (!rows.empty()) std::memcpy(at, rows.data(), rows.size() * sizeof(RowId));
+  at += rows.size() * sizeof(RowId);
+  std::memcpy(at, offsets.data(), offsets.size() * sizeof(uint32_t));
+  return out;
 }
 
 TEST(PliSerializationTest, DeserializeRejectsCorruptBuffers) {
@@ -288,6 +301,33 @@ TEST(PliSerializationTest, DeserializeRejectsCorruptBuffers) {
   std::vector<char> grown = buffer;
   grown.push_back(0);
   EXPECT_FALSE(Pli::Deserialize(grown.data(), grown.size()).ok());
+
+  // Hand-crafted buffers whose sizes add up but whose contents do not
+  // describe a PLI. Each must fail with ParseError, never throw or yield a
+  // PLI that reads out of bounds later.
+  const auto expect_parse_error = [](const std::vector<char>& crafted,
+                                     const char* what) {
+    Result<Pli> parsed = Pli::Deserialize(crafted.data(), crafted.size());
+    ASSERT_FALSE(parsed.ok()) << what;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << what;
+  };
+  // rows_count * sizeof(RowId) wraps to 0: the size check must not overflow.
+  expect_parse_error(CraftPli(uint64_t{1} << 62, {}, {0}, 10),
+                     "row count overflow");
+  expect_parse_error(CraftPli(4, {0, 1, 2, 3}, {0, 3, 1, 4}, 10),
+                     "non-monotone offsets");
+  expect_parse_error(CraftPli(3, {0, 1, 2}, {0, 1, 3}, 10),
+                     "singleton cluster");
+  expect_parse_error(CraftPli(2, {0, 1}, {0, 2, 2}, 10), "empty cluster");
+  expect_parse_error(CraftPli(2, {0, 10}, {0, 2}, 10), "row id past end");
+  expect_parse_error(CraftPli(2, {-1, 3}, {0, 2}, 10), "negative row id");
+  expect_parse_error(CraftPli(4, {0, 1, 2, 3}, {0, 4}, 3),
+                     "more clustered rows than rows");
+  expect_parse_error(CraftPli(2, {0, 1}, {0, 2}, uint64_t{1} << 40),
+                     "row count beyond RowId");
+  // The crafting helper itself writes valid buffers when asked to.
+  const std::vector<char> valid = CraftPli(4, {0, 2, 1, 3}, {0, 2, 4}, 5);
+  EXPECT_TRUE(Pli::Deserialize(valid.data(), valid.size()).ok());
 }
 
 std::vector<ColumnSet> AllPairsAndTriples(int n) {
@@ -316,28 +356,25 @@ TEST(PliCacheSpillTest, TieredCacheMatchesUnlimitedCache) {
       DeduplicateRows(MakeCategorical(600, {4, 3, 5, 2, 6, 3}, 29,
                                       "spill_test"))
           .relation;
-  for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
-    // Tiny budget so every derived entry is demoted, with the cold tier
-    // turned on: evictions spill instead of dropping.
-    PliCache tiered(r, /*budget_bytes=*/1, /*pool=*/nullptr, impl,
-                    TempSpillConfig());
-    PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, impl);
-    ASSERT_TRUE(tiered.spill_enabled());
-    const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
-    // Two passes: the second probes entries whose hot copy was evicted, so
-    // it exercises the reload path.
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const ColumnSet& set : sets) {
-        ExpectSamePli(*tiered.Get(set), *unlimited.Get(set), set);
-      }
+  // Tiny budget so every derived entry is demoted, with the cold tier
+  // turned on: evictions spill instead of dropping.
+  PliCache tiered(r, /*budget_bytes=*/1, /*pool=*/nullptr, TempSpillConfig());
+  PliCache unlimited(r, PliCache::kUnlimitedBudget);
+  ASSERT_TRUE(tiered.spill_enabled());
+  const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
+  // Two passes: the second probes entries whose hot copy was evicted, so
+  // it exercises the reload path.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ColumnSet& set : sets) {
+      ExpectSamePli(*tiered.Get(set), *unlimited.Get(set), set);
     }
-    const PliCache::Stats stats = tiered.GetStats();
-    EXPECT_GT(stats.evictions, 0);
-    EXPECT_GT(stats.spill_writes, 0);
-    EXPECT_GT(stats.spill_reloads, 0);
-    EXPECT_GT(stats.spill_bytes, 0);
-    EXPECT_GT(stats.pinned_bytes, 0);
   }
+  const PliCache::Stats stats = tiered.GetStats();
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_GT(stats.spill_writes, 0);
+  EXPECT_GT(stats.spill_reloads, 0);
+  EXPECT_GT(stats.spill_bytes, 0);
+  EXPECT_GT(stats.pinned_bytes, 0);
 }
 
 TEST(PliCacheSpillTest, SpillDisabledWithoutDirOrWithUnlimitedBudget) {
@@ -347,7 +384,7 @@ TEST(PliCacheSpillTest, SpillDisabledWithoutDirOrWithUnlimitedBudget) {
   EXPECT_FALSE(no_dir.spill_enabled());
   // Unlimited budget never evicts, so the cold tier stays off even with a
   // spill dir configured.
-  PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, PliImpl::kAuto,
+  PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr,
                      TempSpillConfig());
   EXPECT_FALSE(unlimited.spill_enabled());
 }
@@ -358,7 +395,7 @@ TEST(PliCacheSpillTest, SpillBudgetExhaustionFallsBackToRebuild) {
           .relation;
   // One-byte spill budget: every demotion attempt fails, so the cache must
   // behave exactly like the single-tier tight cache (drop + rebuild).
-  PliCache tiered(r, /*budget_bytes=*/1, nullptr, PliImpl::kAuto,
+  PliCache tiered(r, /*budget_bytes=*/1, nullptr,
                   TempSpillConfig(/*budget_bytes=*/1));
   PliCache unlimited(r, PliCache::kUnlimitedBudget);
   for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -286,6 +287,27 @@ TEST_F(ServeE2eTest, SequentialRoundTripsDoNotWaitForDelayedAcks) {
   }
   std::nth_element(millis.begin(), millis.begin() + 15, millis.end());
   EXPECT_LT(millis[15], 10.0) << "median stats round trip in ms";
+}
+
+// Open file descriptors of this process (the test and the in-process
+// server share one fd table).
+int OpenFdCount() {
+  return static_cast<int>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST_F(ServeE2eTest, FinishedConnectionsReleaseTheirFdsAndThreads) {
+  // Each finished client's fd is closed and its thread joined on a later
+  // accept, so a long-running daemon's fd count stays flat instead of
+  // growing by one per client served.
+  const int before = OpenFdCount();
+  for (int i = 0; i < 200; ++i) {
+    Client client(server_->port());
+    json::Value stats = client.Rpc("{\"cmd\":\"stats\"}");
+    ASSERT_TRUE(stats.Find("ok")->boolean);
+  }
+  EXPECT_LE(OpenFdCount() - before, 8);
 }
 
 TEST_F(ServeE2eTest, CancelAndErrorsAndUnknownCommands) {

@@ -5,16 +5,14 @@
 // (testing/reference.h), then runs every engine — MUDS, Holistic FUN, the
 // sequential SPIDER+DUCC+FUN baseline, and TANE — across the full
 // {threads: 1,2,8} x {pli-budget: tiny,unlimited} x {io: stream,buffered}
-// configuration matrix — plus a PLI-implementation axis
-// {csr,bitmap} x {native,forced-scalar SIMD} x {threads: 1,8} — and a
-// spill axis (tiny PLI budget + disk spill tier + external sort-merge
-// SPIDER) — and a sampling axis ({1K,64K} sampled pairs x {threads: 1,8}
-// x {default, tiny budget + spill}, asserting the refutation-only
-// invariant: result sets are bit-identical at every --sample-pairs
-// setting) — and diffs
-// all result sets against the oracle. Every
-// engine run goes through the CSV surface (CsvWriter -> engine CSV entry
-// point), so the ingest engines are part of the contract under test.
+// configuration matrix — plus a SIMD axis {native,forced-scalar} x
+// {threads: 1,8} — and a spill axis (tiny PLI budget + disk spill tier +
+// external sort-merge SPIDER) — and a sampling axis ({1K,64K} sampled
+// pairs x {threads: 1,8} x {default, tiny budget + spill}, asserting the
+// refutation-only invariant: result sets are bit-identical at every
+// --sample-pairs setting) — and diffs all result sets against the oracle.
+// Every engine run goes through the CSV surface (CsvWriter -> engine CSV
+// entry point), so the ingest engines are part of the contract under test.
 //
 // On a mismatch the driver shrinks the instance (drop columns, then chop
 // row chunks, while the mismatch persists) and prints a reproducer: the
@@ -87,7 +85,6 @@ struct EngineConfig {
   int threads = 1;
   size_t pli_budget_bytes = 0;  // 0 = unlimited
   CsvIoMode io = CsvIoMode::kBuffered;
-  PliImpl impl = PliImpl::kAuto;
   bool force_scalar_simd = false;
   bool spill = false;
   int64_t sample_pairs = 0;  // 0 = sampling disabled
@@ -96,10 +93,6 @@ struct EngineConfig {
     std::string out = "threads=" + std::to_string(threads);
     out += pli_budget_bytes == 0 ? " budget=unlimited" : " budget=tiny";
     out += io == CsvIoMode::kStream ? " io=stream" : " io=buffered";
-    if (impl != PliImpl::kAuto) {
-      out += " impl=";
-      out += ToString(impl);
-    }
     if (force_scalar_simd) out += " simd=scalar";
     if (spill) out += " spill=on";
     if (sample_pairs != 0) {
@@ -118,33 +111,25 @@ std::vector<EngineConfig> ConfigMatrix() {
       }
     }
   }
-  // PLI implementation axis: pinned CSR and pinned bitmap, each with the
-  // native SIMD level and with the runtime scalar kill switch, single- and
-  // multi-threaded. All variants must produce identical result sets.
-  for (PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap}) {
-    for (bool scalar : {false, true}) {
-      for (int threads : {1, 8}) {
-        EngineConfig config;
-        config.threads = threads;
-        config.impl = impl;
-        config.force_scalar_simd = scalar;
-        configs.push_back(config);
-      }
-    }
+  // SIMD axis: the runtime scalar kill switch, single- and multi-threaded.
+  // Its native counterparts are the budget=unlimited io=buffered runs
+  // above; both must produce identical result sets.
+  for (int threads : {1, 8}) {
+    EngineConfig config;
+    config.threads = threads;
+    config.force_scalar_simd = true;
+    configs.push_back(config);
   }
   // Spill axis: tiny PLI budget plus the disk tier, so evictions demote to
   // the spill file and cache probes reload from it, and SPIDER runs its
-  // external sort-merge — single- and multi-threaded, both PLI impls. The
-  // out-of-core path must be invisible in the result sets.
-  for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
-    for (int threads : {1, 8}) {
-      EngineConfig config;
-      config.threads = threads;
-      config.pli_budget_bytes = kTinyBudgetBytes;
-      config.impl = impl;
-      config.spill = true;
-      configs.push_back(config);
-    }
+  // external sort-merge — single- and multi-threaded. The out-of-core path
+  // must be invisible in the result sets.
+  for (int threads : {1, 8}) {
+    EngineConfig config;
+    config.threads = threads;
+    config.pli_budget_bytes = kTinyBudgetBytes;
+    config.spill = true;
+    configs.push_back(config);
   }
   // Sampling axis: evidence-store pre-validation at a small and a large
   // pair budget, sequential and parallel, with and without memory pressure
@@ -225,7 +210,6 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
   options.seed = seed;
   options.num_threads = config.threads;
   options.pli_budget_bytes = config.pli_budget_bytes;
-  options.pli_impl = config.impl;
   if (config.spill) {
     options.spill.dir = std::filesystem::temp_directory_path().string();
   }
@@ -399,12 +383,12 @@ int RunSeed(int seed, const CliOptions& cli,
                             Engine::kBaseline, Engine::kTane};
   for (Engine engine : engines) {
     for (const EngineConfig& config : configs) {
-      // TANE has no thread/budget/impl/sampling knobs; run it once per io
-      // mode.
+      // TANE has no thread/budget/spill/sampling knobs; run it once per
+      // io mode, at the native SIMD level.
       if (engine == Engine::kTane &&
           (config.threads != 1 || config.pli_budget_bytes != 0 ||
-           config.impl != PliImpl::kAuto || config.force_scalar_simd ||
-           config.spill || config.sample_pairs != 0)) {
+           config.force_scalar_simd || config.spill ||
+           config.sample_pairs != 0)) {
         continue;
       }
       const EngineAnswer answer = RunEngine(
@@ -504,7 +488,6 @@ int RunAppendSeed(int seed, const CliOptions& cli,
     options.seed = static_cast<uint64_t>(seed) + 17;
     options.num_threads = config.threads;
     options.pli_budget_bytes = config.pli_budget_bytes;
-    options.pli_impl = config.impl;
     if (config.spill) {
       options.spill.dir = std::filesystem::temp_directory_path().string();
     }
