@@ -5,7 +5,10 @@
 // fine; an accepted one must be a PLI every kernel can run on: it
 // re-serializes to the same bytes, and FillProbeTable, Intersect and
 // RefinesAll stay in bounds (run under ASan) and keep the CSR invariants,
-// at the native SIMD level and with the scalar kill switch.
+// at the native SIMD level and with the scalar kill switch. Refines and
+// RefinesAll must agree on every probe column: they read the clusters
+// through different paths, so a row listed in two clusters (which the
+// parser rejects) would split them.
 
 #include <algorithm>
 #include <cstdint>
@@ -90,7 +93,13 @@ void RunKernels(const Pli& pli) {
   FUZZ_ASSERT(valid.size() == candidates.size());
   FUZZ_ASSERT(valid[0] == 1);
   FUZZ_ASSERT(pli.Refines(constant));
-  for (const Column* column : candidates) pli.Refines(*column);
+  for (const Column* column : candidates) {
+    const Column* const one[] = {column};
+    std::vector<uint8_t> single;
+    pli.RefinesAll(one, &single);
+    FUZZ_ASSERT(single.size() == 1);
+    FUZZ_ASSERT(pli.Refines(*column) == (single[0] != 0));
+  }
 }
 
 }  // namespace

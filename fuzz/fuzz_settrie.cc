@@ -3,8 +3,10 @@
 // The input is an op stream over a 12-column universe: each 3-byte step
 // encodes an operation and a column set. Every query result is compared
 // with a naive vector-of-sets model, and the stored contents are compared
-// after the run — so structural bugs (lost sets after Erase's branch
-// pruning, wrong subset/superset traversal cut-offs) surface as asserts.
+// after the run — so structural bugs (lost sets after an erase, wrong
+// bucket bounds in a subset/superset scan) surface as asserts. The order
+// contract is checked too: FindSupersetOf returns the least stored superset
+// in prefix-tree order and CollectAll lists the sets in that order.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,6 +37,12 @@ std::vector<ColumnSet> Sorted(std::vector<ColumnSet> sets) {
   return sets;
 }
 
+// Prefix-tree order: lexicographic over the ascending column sequences, a
+// prefix before its extensions.
+bool PrefixTreeLess(const ColumnSet& a, const ColumnSet& b) {
+  return a.ToIndices() < b.ToIndices();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -47,6 +55,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   for (size_t i = 0; i + 3 <= size; i += 3) {
     const uint8_t op = data[i] % 9;
+    // The op byte's high part picks the column the probes of op 3 need.
+    const int column = (data[i] / 9) % kUniverse;
     const ColumnSet set = DecodeSet(data[i + 1], data[i + 2]);
     switch (op) {
       case 0: {  // Insert
@@ -65,12 +75,40 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       case 2:  // Contains
         FUZZ_ASSERT(trie.Contains(set) == (model_find(set) != model.end()));
         break;
-      case 3: {  // ContainsSubsetOf
+      case 3: {  // ContainsSubsetOf and the batched subset probes
         const bool expected =
             std::any_of(model.begin(), model.end(), [&](const ColumnSet& s) {
               return s.IsSubsetOf(set);
             });
         FUZZ_ASSERT(trie.ContainsSubsetOf(set) == expected);
+
+        bool expected_with = false;
+        ColumnSet expected_union;
+        for (const ColumnSet& s : model) {
+          if (!s.IsSubsetOf(set)) continue;
+          expected_with |= s.Contains(column);
+          expected_union = expected_union.Union(s);
+        }
+        FUZZ_ASSERT(trie.ContainsSubsetOfWith(set, column) == expected_with);
+        FUZZ_ASSERT(trie.UnionOfSubsetsOf(set) == expected_union);
+
+        // Extras in rotated order from `column`; an even column also keeps
+        // the extras already in `set` (they answer like `set` itself).
+        std::vector<int> extras;
+        for (int k = 0; k < kUniverse; ++k) {
+          const int c = (column + k) % kUniverse;
+          if (column % 2 == 0 || !set.Contains(c)) extras.push_back(c);
+        }
+        std::vector<uint8_t> each;
+        trie.ContainsSubsetOfEach(set, extras, &each);
+        FUZZ_ASSERT(each.size() == extras.size());
+        for (size_t k = 0; k < extras.size(); ++k) {
+          const ColumnSet extended = set.With(extras[k]);
+          const bool want = std::any_of(
+              model.begin(), model.end(),
+              [&](const ColumnSet& s) { return s.IsSubsetOf(extended); });
+          FUZZ_ASSERT((each[k] != 0) == want);
+        }
         break;
       }
       case 4: {  // ContainsSupersetOf
@@ -108,6 +146,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         if (found) {
           FUZZ_ASSERT(set.IsSubsetOf(witness));
           FUZZ_ASSERT(model_find(witness) != model.end());
+          for (const ColumnSet& s : model) {
+            FUZZ_ASSERT(!set.IsSubsetOf(s) || !PrefixTreeLess(s, witness));
+          }
         }
         break;
       }
@@ -122,6 +163,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FUZZ_ASSERT(trie.IsEmpty() == model.empty());
   }
 
-  FUZZ_ASSERT(Sorted(trie.CollectAll()) == Sorted(model));
+  std::vector<ColumnSet> in_prefix_order = model;
+  std::sort(in_prefix_order.begin(), in_prefix_order.end(), PrefixTreeLess);
+  FUZZ_ASSERT(trie.CollectAll() == in_prefix_order);
   return 0;
 }

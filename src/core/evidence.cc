@@ -83,17 +83,12 @@ bool EvidenceStore::AddPair(RowId r1, RowId r2, bool fed_back) {
   // Keep the cover subset-minimal (the MinimalSetCollection discipline):
   // a dominated set D ⊇ D' refutes a strict subset of the UCCs D' refutes,
   // so dropping it only costs a few FD refutations (rhs ∈ D \ D') while
-  // keeping every probe a walk over a small antichain instead of one over
+  // keeping every probe a scan over a small antichain instead of one over
   // every sampled disagreement set — without this, high-cardinality
-  // relations push thousands of near-universe sets into the trie and the
+  // relations push thousands of near-universe sets into the index and the
   // probes cost more than the PLI work they save. Losing refutations is
   // always safe (the candidate just proceeds to full validation).
-  if (negative_cover_.ContainsSubsetOf(disagreement)) return false;
-  for (const ColumnSet& dominated :
-       negative_cover_.CollectSupersetsOf(disagreement)) {
-    negative_cover_.Erase(dominated);
-  }
-  return negative_cover_.Insert(disagreement);
+  return negative_cover_.InsertMinimal(disagreement);
 }
 
 bool EvidenceStore::RefutesUcc(const ColumnSet& columns) const {

@@ -21,7 +21,7 @@ namespace muds {
 ///     i.e. some stored D satisfies D ∩ X = ∅ (D ⊆ universe \ X);
 ///   - an FD candidate X → a is refuted iff some pair agrees on X but
 ///     differs on a, i.e. some stored D ⊆ universe \ X contains a.
-/// Both probes are single subset walks over a SetTrie holding the
+/// Both probes are single subset scans over a SetTrie holding the
 /// *subset-minimal* disagreement sets: a set dominated by a stored subset
 /// is dropped and stored supersets are evicted on insert, so the cover
 /// stays a small antichain and probes stay cheap no matter how many pairs
@@ -60,7 +60,7 @@ class EvidenceStore {
   /// True if some recorded pair proves the FD lhs → rhs invalid.
   bool RefutesFd(const ColumnSet& lhs, int rhs) const;
 
-  /// All right-hand sides refutable for `lhs` in one trie walk: the union
+  /// All right-hand sides refutable for `lhs` in one scan: the union
   /// of every stored disagreement set disjoint from `lhs`. Exactly the
   /// candidates a batched CheckFds can mark checked-and-invalid up front.
   ColumnSet RefutedRhs(const ColumnSet& lhs) const;

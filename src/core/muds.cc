@@ -33,8 +33,8 @@ ColumnSet ConnectorLookup(const std::vector<ColumnSet>& minimal_uccs,
 
 namespace {
 
-// Minimal-UCC store with the §5.4 prefix tree, optionally degraded to
-// linear scans for the ablation benchmark.
+// Minimal-UCC store with the §5.4 index (SetTrie), optionally degraded to
+// an unindexed list scan for the ablation benchmark.
 class UccStore {
  public:
   UccStore(std::vector<ColumnSet> uccs, bool use_trie)
@@ -90,9 +90,7 @@ class FdStore {
   // recorded at all — they carry no connector information a stored subset
   // does not already carry.
   bool Add(const ColumnSet& lhs, int rhs) {
-    MinimalSetCollection& collection = minimal_[rhs];
-    if (collection.ContainsSubsetOf(lhs)) return false;
-    collection.Insert(lhs);
+    if (!minimal_[rhs].Insert(lhs)) return false;
     AddRaw(lhs, rhs);
     return true;
   }

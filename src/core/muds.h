@@ -16,8 +16,9 @@ namespace muds {
 /// shares (seed, threads, PLI budget/layout, spill, sampling) live in
 /// EngineOptions.
 struct MudsOptions {
-  /// §5.4: use the UCC prefix tree for subset/superset look-ups. Disabling
-  /// falls back to linear scans over the UCC list (the "naive
+  /// §5.4: use the UCC index (SetTrie: the paper's prefix tree, stored as
+  /// cardinality buckets) for subset/superset look-ups. Disabling falls
+  /// back to linear scans over the whole UCC list (the "naive
   /// implementation" the paper compares against); results are identical.
   bool use_prefix_tree = true;
 

@@ -341,6 +341,26 @@ char* AppendArray(char* out, const std::vector<T>& values) {
   return out + bytes;
 }
 
+// True if a row id occurs twice in `rows` (all within [0, num_rows)). A
+// bitmap over the row ids costs 1/32 of the probe table any use of the PLI
+// allocates; when the header claims over 64 rows per listed row, a sorted
+// copy keeps the work bounded by the payload instead of by the claim.
+bool HasRepeatedRow(const std::vector<RowId>& rows, RowId num_rows) {
+  if (static_cast<uint64_t>(num_rows) > uint64_t{64} * rows.size()) {
+    std::vector<RowId> sorted = rows;
+    std::sort(sorted.begin(), sorted.end());
+    return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+  }
+  std::vector<uint64_t> seen((static_cast<size_t>(num_rows) + 63) / 64);
+  for (const RowId row : rows) {
+    uint64_t& word = seen[static_cast<size_t>(row) >> 6];
+    const uint64_t bit = uint64_t{1} << (row & 63);
+    if (word & bit) return true;
+    word |= bit;
+  }
+  return false;
+}
+
 template <typename T>
 const char* ConsumeArray(const char* in, uint64_t count, std::vector<T>* out) {
   out->resize(static_cast<size_t>(count));
@@ -412,6 +432,12 @@ Result<Pli> Pli::Deserialize(const char* data, size_t bytes) {
     if (row < 0 || row >= num_rows) {
       return Status::ParseError("pli: row id out of range");
     }
+  }
+  // A row belongs to at most one cluster. A repeat would make the probe
+  // table (last cluster wins) and the cluster walks disagree, so Refines
+  // and RefinesAll could answer differently on the same PLI.
+  if (HasRepeatedRow(rows, num_rows)) {
+    return Status::ParseError("pli: row id in more than one cluster");
   }
   return Pli(std::move(rows), std::move(offsets), num_rows);
 }

@@ -13,15 +13,16 @@ namespace muds {
 
 /// Maintains an antichain of minimal sets: inserting a set drops it if a
 /// stored subset already dominates it and evicts any stored supersets.
-/// Backed by a SetTrie, so subset/superset queries stay cheap.
+/// Backed by a SetTrie, so every query and every insertion is one scan over
+/// the cardinality buckets that can match.
 ///
 /// DUCC keeps its minimal UCCs here; MUDS keeps minimal FD left-hand sides
 /// per right-hand side here.
 class MinimalSetCollection {
  public:
-  /// Inserts `set` if no stored subset exists; evicts stored supersets.
-  /// Returns true if the set was inserted.
-  bool Insert(const ColumnSet& set);
+  /// Inserts `set` if no stored subset exists; evicts stored supersets in
+  /// the same scan. Returns true if the set was inserted.
+  bool Insert(const ColumnSet& set) { return trie_.InsertMinimal(set); }
 
   /// True if exactly `set` is stored.
   bool Contains(const ColumnSet& set) const { return trie_.Contains(set); }
@@ -33,7 +34,7 @@ class MinimalSetCollection {
   }
 
   /// Batched coverage query: out[i] = ContainsSubsetOf(base ∪ {extras[i]})
-  /// in one trie traversal (the lattice walks' candidate expansion).
+  /// in one scan (the lattice walks' candidate expansion).
   void ContainsSubsetOfEach(const ColumnSet& base, std::span<const int> extras,
                             std::vector<uint8_t>* out) const {
     trie_.ContainsSubsetOfEach(base, extras, out);
@@ -44,16 +45,7 @@ class MinimalSetCollection {
     return trie_.ContainsSupersetOf(set);
   }
 
-  /// All stored sets that are subsets of `set`.
-  std::vector<ColumnSet> CollectSubsetsOf(const ColumnSet& set) const {
-    return trie_.CollectSubsetsOf(set);
-  }
-
-  /// All stored sets that are supersets of `set` (the connector look-up).
-  std::vector<ColumnSet> CollectSupersetsOf(const ColumnSet& set) const {
-    return trie_.CollectSupersetsOf(set);
-  }
-
+  /// All stored sets, in prefix-tree order (see SetTrie).
   std::vector<ColumnSet> CollectAll() const { return trie_.CollectAll(); }
 
   size_t Size() const { return trie_.Size(); }
@@ -69,9 +61,9 @@ class MinimalSetCollection {
 /// non-determinant left-hand sides here.
 class MaximalSetCollection {
  public:
-  /// Inserts `set` if no stored superset exists; evicts stored subsets.
-  /// Returns true if the set was inserted.
-  bool Insert(const ColumnSet& set);
+  /// Inserts `set` if no stored superset exists; evicts stored subsets in
+  /// the same scan. Returns true if the set was inserted.
+  bool Insert(const ColumnSet& set) { return trie_.InsertMaximal(set); }
 
   bool Contains(const ColumnSet& set) const { return trie_.Contains(set); }
 
@@ -85,7 +77,8 @@ class MaximalSetCollection {
     return trie_.ContainsSubsetOf(set);
   }
 
-  /// Finds one stored superset of `set` (a witness that `set` is covered).
+  /// Finds the least stored superset of `set` in prefix-tree order (a
+  /// witness that `set` is covered).
   bool FindSupersetOf(const ColumnSet& set, ColumnSet* out) const {
     return trie_.FindSupersetOf(set, out);
   }

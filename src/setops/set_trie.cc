@@ -7,161 +7,98 @@
 
 namespace muds {
 
-SetTrie::Node* SetTrie::Node::Find(int column) const {
-  auto it = std::lower_bound(
-      children.begin(), children.end(), column,
-      [](const auto& entry, int c) { return entry.first < c; });
-  if (it == children.end() || it->first != column) return nullptr;
-  return it->second.get();
+namespace {
+
+// Prefix-tree order: lexicographic over the ascending column sequences, a
+// prefix before its extensions. The sequences agree below the smallest
+// column d in exactly one of the two sets; the set holding d comes first
+// unless the other set has no column past d (and is then a prefix of it).
+bool PrefixTreeLess(const ColumnSet& a, const ColumnSet& b) {
+  const int only_a = a.Difference(b).First();
+  const int only_b = b.Difference(a).First();
+  if (only_a < 0 && only_b < 0) return false;
+  if (only_b < 0 || (only_a >= 0 && only_a < only_b)) {
+    return b.NextAtLeast(only_a + 1) >= 0;
+  }
+  return a.NextAtLeast(only_b + 1) < 0;
 }
 
-SetTrie::Node* SetTrie::Node::FindOrCreate(int column) {
-  auto it = std::lower_bound(
-      children.begin(), children.end(), column,
-      [](const auto& entry, int c) { return entry.first < c; });
-  if (it != children.end() && it->first == column) return it->second.get();
-  it = children.emplace(it, column, std::make_unique<Node>());
-  return it->second.get();
+}  // namespace
+
+size_t SetTrie::SubsetBuckets(int count) const {
+  return std::min(buckets_.size(), static_cast<size_t>(count) + 1);
+}
+
+void SetTrie::Append(const ColumnSet& set) {
+  const size_t count = static_cast<size_t>(set.Count());
+  if (count >= buckets_.size()) buckets_.resize(count + 1);
+  buckets_[count].push_back(set);
+  ++size_;
 }
 
 bool SetTrie::Insert(const ColumnSet& set) {
-  Node* node = root_.get();
-  for (int c = set.First(); c >= 0; c = set.NextAtLeast(c + 1)) {
-    node = node->FindOrCreate(c);
-  }
-  if (node->terminal) return false;
-  node->terminal = true;
-  ++size_;
+  if (Contains(set)) return false;
+  Append(set);
   return true;
 }
 
-bool SetTrie::EraseRecursive(Node* node, const std::vector<int>& columns,
-                             size_t index, bool* erased) {
-  if (index == columns.size()) {
-    if (!node->terminal) return false;
-    node->terminal = false;
-    *erased = true;
-    return node->children.empty();
+bool SetTrie::InsertMinimal(const ColumnSet& set) {
+  const size_t below = SubsetBuckets(set.Count());
+  for (size_t k = 0; k < below; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (stored.IsSubsetOf(set)) return false;
+    }
   }
-  auto it = std::lower_bound(
-      node->children.begin(), node->children.end(), columns[index],
-      [](const auto& entry, int c) { return entry.first < c; });
-  if (it == node->children.end() || it->first != columns[index]) return false;
-  if (EraseRecursive(it->second.get(), columns, index + 1, erased)) {
-    node->children.erase(it);
+  // Equal sets were rejected above, so only larger buckets hold supersets.
+  for (size_t k = below; k < buckets_.size(); ++k) {
+    size_ -= std::erase_if(buckets_[k], [&set](const ColumnSet& stored) {
+      return set.IsSubsetOf(stored);
+    });
   }
-  return !node->terminal && node->children.empty();
+  Append(set);
+  return true;
+}
+
+bool SetTrie::InsertMaximal(const ColumnSet& set) {
+  const size_t count = static_cast<size_t>(set.Count());
+  for (size_t k = count; k < buckets_.size(); ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (set.IsSubsetOf(stored)) return false;
+    }
+  }
+  // Equal sets were rejected above, so only smaller buckets hold subsets.
+  for (size_t k = 0; k < std::min(count, buckets_.size()); ++k) {
+    size_ -= std::erase_if(buckets_[k], [&set](const ColumnSet& stored) {
+      return stored.IsSubsetOf(set);
+    });
+  }
+  Append(set);
+  return true;
 }
 
 bool SetTrie::Erase(const ColumnSet& set) {
-  bool erased = false;
-  EraseRecursive(root_.get(), set.ToIndices(), 0, &erased);
-  if (erased) --size_;
-  return erased;
+  const size_t count = static_cast<size_t>(set.Count());
+  if (count >= buckets_.size()) return false;
+  const size_t erased = std::erase(buckets_[count], set);
+  size_ -= erased;
+  return erased > 0;
 }
 
 bool SetTrie::Contains(const ColumnSet& set) const {
-  const Node* node = root_.get();
-  for (int c = set.First(); c >= 0; c = set.NextAtLeast(c + 1)) {
-    node = node->Find(c);
-    if (node == nullptr) return false;
-  }
-  return node->terminal;
-}
-
-bool SetTrie::SubsetQuery(const Node* node, const ColumnSet& set, int from) {
-  if (node->terminal) return true;
-  for (const auto& [column, child] : node->children) {
-    if (column < from) continue;
-    if (!set.Contains(column)) continue;
-    if (SubsetQuery(child.get(), set, column + 1)) return true;
-  }
-  return false;
+  const size_t count = static_cast<size_t>(set.Count());
+  if (count >= buckets_.size()) return false;
+  const std::vector<ColumnSet>& bucket = buckets_[count];
+  return std::find(bucket.begin(), bucket.end(), set) != bucket.end();
 }
 
 bool SetTrie::ContainsSubsetOf(const ColumnSet& set) const {
-  return SubsetQuery(root_.get(), set, 0);
-}
-
-bool SetTrie::SubsetWithQuery(const Node* node, const ColumnSet& allowed,
-                              int required, bool have, int from) {
-  if (node->terminal && have) return true;
-  for (const auto& [column, child] : node->children) {
-    if (column < from) continue;
-    // Children (and their descendants) are strictly ascending: once the
-    // walk passes `required` without having used it, no terminal below can
-    // contain it.
-    if (!have && column > required) break;
-    if (!allowed.Contains(column)) continue;
-    if (SubsetWithQuery(child.get(), allowed, required,
-                        have || column == required, column + 1)) {
-      return true;
+  const size_t end = SubsetBuckets(set.Count());
+  for (size_t k = 0; k < end; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (stored.IsSubsetOf(set)) return true;
     }
   }
   return false;
-}
-
-bool SetTrie::ContainsSubsetOfWith(const ColumnSet& allowed,
-                                   int required) const {
-  if (!allowed.Contains(required)) return false;
-  return SubsetWithQuery(root_.get(), allowed, required, false, 0);
-}
-
-void SetTrie::UnionSubsetsQuery(const Node* node, const ColumnSet& allowed,
-                                int from, ColumnSet* prefix, ColumnSet* out) {
-  if (node->terminal) *out = out->Union(*prefix);
-  for (const auto& [column, child] : node->children) {
-    if (column < from || !allowed.Contains(column)) continue;
-    prefix->Add(column);
-    UnionSubsetsQuery(child.get(), allowed, column + 1, prefix, out);
-    prefix->Remove(column);
-  }
-}
-
-ColumnSet SetTrie::UnionOfSubsetsOf(const ColumnSet& allowed) const {
-  ColumnSet out;
-  ColumnSet prefix;
-  UnionSubsetsQuery(root_.get(), allowed, 0, &prefix, &out);
-  return out;
-}
-
-struct SetTrie::SubsetEachState {
-  const ColumnSet* base;
-  // Maps a column index to its position in `extras`, or -1.
-  std::array<int16_t, ColumnSet::kMaxColumns> extra_of_column;
-  std::vector<uint8_t>* out;
-  // Unanswered extras; the traversal aborts once it reaches zero.
-  size_t remaining;
-};
-
-void SetTrie::SubsetEachQuery(const Node* node, int from, int used_extra,
-                              SubsetEachState* state) {
-  if (node->terminal) {
-    if (used_extra < 0) {
-      // A stored subset of `base` alone: every extension is covered.
-      std::fill(state->out->begin(), state->out->end(), uint8_t{1});
-      state->remaining = 0;
-      return;
-    }
-    if (!(*state->out)[static_cast<size_t>(used_extra)]) {
-      (*state->out)[static_cast<size_t>(used_extra)] = 1;
-      --state->remaining;
-    }
-    // Deeper terminals on this path could only re-answer the same extra.
-    return;
-  }
-  for (const auto& [column, child] : node->children) {
-    if (state->remaining == 0) return;
-    if (column < from) continue;
-    if (state->base->Contains(column)) {
-      SubsetEachQuery(child.get(), column + 1, used_extra, state);
-    } else if (used_extra < 0) {
-      const int16_t extra = state->extra_of_column[static_cast<size_t>(column)];
-      if (extra >= 0 && !(*state->out)[static_cast<size_t>(extra)]) {
-        SubsetEachQuery(child.get(), column + 1, extra, state);
-      }
-    }
-  }
 }
 
 void SetTrie::ContainsSubsetOfEach(const ColumnSet& base,
@@ -169,138 +106,122 @@ void SetTrie::ContainsSubsetOfEach(const ColumnSet& base,
                                    std::vector<uint8_t>* out) const {
   out->assign(extras.size(), 0);
   if (extras.empty()) return;
-  SubsetEachState state;
-  state.base = &base;
-  state.extra_of_column.fill(-1);
+  // Maps a column index to its position in `extras`, or -1.
+  std::array<int16_t, ColumnSet::kMaxColumns> slot;
+  slot.fill(-1);
   for (size_t i = 0; i < extras.size(); ++i) {
     // Distinct-extras contract (duplicates would shadow each other).
-    MUDS_DCHECK(state.extra_of_column[static_cast<size_t>(extras[i])] == -1);
-    state.extra_of_column[static_cast<size_t>(extras[i])] =
-        static_cast<int16_t>(i);
+    MUDS_DCHECK(slot[static_cast<size_t>(extras[i])] == -1);
+    slot[static_cast<size_t>(extras[i])] = static_cast<int16_t>(i);
   }
-  state.out = out;
-  state.remaining = extras.size();
-  SubsetEachQuery(root_.get(), 0, -1, &state);
+  // Unanswered extras; the scan stops once it reaches zero.
+  size_t remaining = extras.size();
+  const size_t end = SubsetBuckets(base.Count() + 1);
+  for (size_t k = 0; k < end; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      const ColumnSet outside = stored.Difference(base);
+      const int column = outside.First();
+      if (column < 0) {
+        // A stored subset of `base` alone: every extension is covered.
+        std::fill(out->begin(), out->end(), uint8_t{1});
+        return;
+      }
+      if (outside.NextAtLeast(column + 1) >= 0) continue;
+      const int16_t i = slot[static_cast<size_t>(column)];
+      if (i >= 0 && !(*out)[static_cast<size_t>(i)]) {
+        (*out)[static_cast<size_t>(i)] = 1;
+        if (--remaining == 0) return;
+      }
+    }
+  }
 }
 
-bool SetTrie::SupersetQuery(const Node* node, const std::vector<int>& columns,
-                            size_t index) {
-  if (index == columns.size()) {
-    // Any terminal in this subtree is a superset. The trie invariant (every
-    // leaf is terminal) makes "subtree non-empty or terminal" sufficient.
-    return node->terminal || !node->children.empty();
-  }
-  const int needed = columns[index];
-  for (const auto& [column, child] : node->children) {
-    if (column > needed) break;  // Sorted children; `needed` is unreachable.
-    const size_t next = column == needed ? index + 1 : index;
-    if (SupersetQuery(child.get(), columns, next)) return true;
+bool SetTrie::ContainsSubsetOfWith(const ColumnSet& allowed,
+                                   int required) const {
+  if (!allowed.Contains(required)) return false;
+  const size_t end = SubsetBuckets(allowed.Count());
+  for (size_t k = 1; k < end; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (stored.Contains(required) && stored.IsSubsetOf(allowed)) {
+        return true;
+      }
+    }
   }
   return false;
 }
 
-bool SetTrie::ContainsSupersetOf(const ColumnSet& set) const {
-  return SupersetQuery(root_.get(), set.ToIndices(), 0);
+ColumnSet SetTrie::UnionOfSubsetsOf(const ColumnSet& allowed) const {
+  ColumnSet out;
+  const size_t end = SubsetBuckets(allowed.Count());
+  for (size_t k = 0; k < end; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (stored.IsSubsetOf(allowed)) out = out.Union(stored);
+    }
+  }
+  return out;
 }
 
-void SetTrie::CollectSubsets(const Node* node, const ColumnSet& set, int from,
-                             ColumnSet* prefix,
-                             std::vector<ColumnSet>* out) {
-  if (node->terminal) out->push_back(*prefix);
-  for (const auto& [column, child] : node->children) {
-    if (column < from || !set.Contains(column)) continue;
-    prefix->Add(column);
-    CollectSubsets(child.get(), set, column + 1, prefix, out);
-    prefix->Remove(column);
+bool SetTrie::ContainsSupersetOf(const ColumnSet& set) const {
+  for (size_t k = static_cast<size_t>(set.Count()); k < buckets_.size();
+       ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (set.IsSubsetOf(stored)) return true;
+    }
   }
+  return false;
 }
 
 std::vector<ColumnSet> SetTrie::CollectSubsetsOf(const ColumnSet& set) const {
   std::vector<ColumnSet> out;
-  ColumnSet prefix;
-  CollectSubsets(root_.get(), set, 0, &prefix, &out);
+  const size_t end = SubsetBuckets(set.Count());
+  for (size_t k = 0; k < end; ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (stored.IsSubsetOf(set)) out.push_back(stored);
+    }
+  }
   return out;
-}
-
-void SetTrie::CollectSupersets(const Node* node,
-                               const std::vector<int>& columns, size_t index,
-                               ColumnSet* prefix,
-                               std::vector<ColumnSet>* out) {
-  if (index == columns.size()) {
-    Collect(node, prefix, out);
-    return;
-  }
-  const int needed = columns[index];
-  for (const auto& [column, child] : node->children) {
-    if (column > needed) break;
-    prefix->Add(column);
-    CollectSupersets(child.get(), columns,
-                     column == needed ? index + 1 : index, prefix, out);
-    prefix->Remove(column);
-  }
 }
 
 std::vector<ColumnSet> SetTrie::CollectSupersetsOf(
     const ColumnSet& set) const {
   std::vector<ColumnSet> out;
-  ColumnSet prefix;
-  CollectSupersets(root_.get(), set.ToIndices(), 0, &prefix, &out);
+  for (size_t k = static_cast<size_t>(set.Count()); k < buckets_.size();
+       ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (set.IsSubsetOf(stored)) out.push_back(stored);
+    }
+  }
   return out;
 }
 
-bool SetTrie::FindSuperset(const Node* node, const std::vector<int>& columns,
-                           size_t index, ColumnSet* prefix, ColumnSet* out) {
-  if (index == columns.size()) {
-    // Any terminal below completes a superset; take the leftmost path. The
-    // root of an empty trie is the only childless non-terminal node.
-    const Node* walk = node;
-    ColumnSet result = *prefix;
-    while (!walk->terminal) {
-      if (walk->children.empty()) return false;
-      result.Add(walk->children.front().first);
-      walk = walk->children.front().second.get();
-    }
-    *out = result;
-    return true;
-  }
-  const int needed = columns[index];
-  for (const auto& [column, child] : node->children) {
-    if (column > needed) break;
-    prefix->Add(column);
-    if (FindSuperset(child.get(), columns,
-                     column == needed ? index + 1 : index, prefix, out)) {
-      prefix->Remove(column);
-      return true;
-    }
-    prefix->Remove(column);
-  }
-  return false;
-}
-
 bool SetTrie::FindSupersetOf(const ColumnSet& set, ColumnSet* out) const {
-  ColumnSet prefix;
-  return FindSuperset(root_.get(), set.ToIndices(), 0, &prefix, out);
-}
-
-void SetTrie::Collect(const Node* node, ColumnSet* prefix,
-                      std::vector<ColumnSet>* out) {
-  if (node->terminal) out->push_back(*prefix);
-  for (const auto& [column, child] : node->children) {
-    prefix->Add(column);
-    Collect(child.get(), prefix, out);
-    prefix->Remove(column);
+  const ColumnSet* best = nullptr;
+  for (size_t k = static_cast<size_t>(set.Count()); k < buckets_.size();
+       ++k) {
+    for (const ColumnSet& stored : buckets_[k]) {
+      if (set.IsSubsetOf(stored) &&
+          (best == nullptr || PrefixTreeLess(stored, *best))) {
+        best = &stored;
+      }
+    }
   }
+  if (best == nullptr) return false;
+  *out = *best;
+  return true;
 }
 
 std::vector<ColumnSet> SetTrie::CollectAll() const {
   std::vector<ColumnSet> out;
-  ColumnSet prefix;
-  Collect(root_.get(), &prefix, &out);
+  out.reserve(size_);
+  for (const std::vector<ColumnSet>& bucket : buckets_) {
+    out.insert(out.end(), bucket.begin(), bucket.end());
+  }
+  std::sort(out.begin(), out.end(), PrefixTreeLess);
   return out;
 }
 
 void SetTrie::Clear() {
-  root_ = std::make_unique<Node>();
+  buckets_.clear();
   size_ = 0;
 }
 

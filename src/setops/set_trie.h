@@ -3,35 +3,52 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "setops/column_set.h"
 
 namespace muds {
 
-/// Prefix tree over column sets (§5.4 of the paper).
+/// The §5.4 index over column sets: the subset and superset queries that
+/// dominate MUDS' FD validation — "is any stored minimal UCC a subset of
+/// this left-hand side?" and the connector look-up's "which stored minimal
+/// UCCs are supersets of this connector?" — plus the lattice walks' and the
+/// evidence store's batched variants.
 ///
-/// Each stored set is a path of strictly increasing column indices; a node is
-/// marked terminal where a stored set ends. The structure answers the subset
-/// and superset queries that dominate MUDS' FD validation — "is any stored
-/// minimal UCC a subset of this left-hand side?" and the connector look-up's
-/// "which stored minimal UCCs are supersets of this connector?" — without
-/// scanning the whole collection.
+/// The paper stores the sets in a prefix tree. Here they are stored flat:
+/// one contiguous array per cardinality, and every query is a linear
+/// IsSubsetOf scan over the arrays that can hold a match — cardinalities
+/// <= |S| for subset queries, >= |S| for superset queries. A ColumnSet is a
+/// fixed 256-bit bitset, so one subset test is four and-not words; a tree
+/// with one heap node per column spends more on pointer chasing and
+/// allocation than its pruning saves at the collection sizes MUDS keeps.
+///
+/// The class keeps the prefix tree's name and its observable order: callers
+/// (LatticeTraversal::FillHoles expands children from the witness) depend on
+/// FindSupersetOf returning the least stored superset in prefix-tree order,
+/// and CollectAll lists the sets in that order. Prefix-tree order is
+/// lexicographic over ascending column sequences, a prefix before its
+/// extensions. Within one cardinality the arrays keep no particular order,
+/// so CollectSubsetsOf and CollectSupersetsOf return their matches in
+/// unspecified order.
 class SetTrie {
  public:
-  SetTrie() : root_(new Node()) {}
-
-  SetTrie(SetTrie&&) = default;
-  SetTrie& operator=(SetTrie&&) = default;
-
   /// Inserts `set`. Returns false if it was already present.
   bool Insert(const ColumnSet& set);
 
-  /// Removes `set`. Returns false if it was not present. Empty branches are
-  /// pruned so that every remaining leaf is terminal.
+  /// Antichain insertion for a collection of minimal sets, in one scan:
+  /// returns false if a stored set is a subset of (or equal to) `set`;
+  /// otherwise erases every stored superset of `set`, inserts it and returns
+  /// true.
+  bool InsertMinimal(const ColumnSet& set);
+
+  /// Dual of InsertMinimal for a collection of maximal sets: rejected if a
+  /// stored set is a superset of (or equal to) `set`; otherwise every stored
+  /// subset is erased.
+  bool InsertMaximal(const ColumnSet& set);
+
+  /// Removes `set`. Returns false if it was not present.
   bool Erase(const ColumnSet& set);
 
   /// True if exactly `set` is stored.
@@ -41,13 +58,14 @@ class SetTrie {
   bool ContainsSubsetOf(const ColumnSet& set) const;
 
   /// Batched subset query: writes out[i] = ContainsSubsetOf(base ∪
-  /// {extras[i]}) for every i, in one trie traversal instead of
-  /// extras.size() independent ones. The lattice walks expand a node by
-  /// asking exactly this — "which single-column extensions are already
-  /// known positive?" — so the shared prefix work (every path through
-  /// columns of `base`) is paid once. `extras` must be distinct and
-  /// `out` is resized to extras.size(). Extras already in `base` behave
-  /// like the identity extension (out[i] = ContainsSubsetOf(base)).
+  /// {extras[i]}) for every i, in one scan instead of extras.size()
+  /// independent ones. The lattice walks expand a node by asking exactly
+  /// this — "which single-column extensions are already known positive?".
+  /// A stored set with no column outside `base` answers every extra; one
+  /// with exactly one column outside `base` answers that extra. `extras`
+  /// must be distinct and `out` is resized to extras.size(). Extras already
+  /// in `base` behave like the identity extension (out[i] =
+  /// ContainsSubsetOf(base)).
   void ContainsSubsetOfEach(const ColumnSet& base, std::span<const int> extras,
                             std::vector<uint8_t>* out) const;
 
@@ -55,11 +73,11 @@ class SetTrie {
   /// `required`. The evidence-store FD probe: with the stored sets being
   /// disagreement sets and `allowed` the complement of a left-hand side,
   /// this asks "does some recorded pair agree on the whole LHS while
-  /// disagreeing on `required`?" in one traversal.
+  /// disagreeing on `required`?" in one scan.
   bool ContainsSubsetOfWith(const ColumnSet& allowed, int required) const;
 
   /// Union of all stored sets that are subsets of (or equal to) `allowed`.
-  /// One DFS answers the evidence store's batched probe: every column in
+  /// One scan answers the evidence store's batched probe: every column in
   /// the result is refutable as a right-hand side for the complement of
   /// `allowed`.
   ColumnSet UnionOfSubsetsOf(const ColumnSet& allowed) const;
@@ -67,18 +85,20 @@ class SetTrie {
   /// True if some stored set is a superset of (or equal to) `set`.
   bool ContainsSupersetOf(const ColumnSet& set) const;
 
-  /// All stored sets that are subsets of (or equal to) `set`.
+  /// All stored sets that are subsets of (or equal to) `set`, in
+  /// unspecified order.
   std::vector<ColumnSet> CollectSubsetsOf(const ColumnSet& set) const;
 
-  /// All stored sets that are supersets of (or equal to) `set`.
+  /// All stored sets that are supersets of (or equal to) `set`, in
+  /// unspecified order.
   std::vector<ColumnSet> CollectSupersetsOf(const ColumnSet& set) const;
 
-  /// Writes one stored superset of `set` into `out` and returns true, or
-  /// returns false if none exists. Cheaper than CollectSupersetsOf when any
-  /// witness suffices.
+  /// Writes the least stored superset of `set` in prefix-tree order into
+  /// `out` and returns true, or returns false if none exists. Cheaper than
+  /// CollectSupersetsOf when one witness suffices.
   bool FindSupersetOf(const ColumnSet& set, ColumnSet* out) const;
 
-  /// All stored sets.
+  /// All stored sets, in prefix-tree order.
   std::vector<ColumnSet> CollectAll() const;
 
   /// Number of stored sets.
@@ -90,41 +110,15 @@ class SetTrie {
   void Clear();
 
  private:
-  struct Node {
-    // Children sorted by column index; descendants of child c only contain
-    // indices > c.
-    std::vector<std::pair<int, std::unique_ptr<Node>>> children;
-    bool terminal = false;
+  // Number of buckets a subset query on a set of `count` columns scans:
+  // cardinalities 0..count.
+  size_t SubsetBuckets(int count) const;
 
-    Node* Find(int column) const;
-    Node* FindOrCreate(int column);
-  };
+  // Stores `set`, which must not be present yet.
+  void Append(const ColumnSet& set);
 
-  static bool SubsetQuery(const Node* node, const ColumnSet& set, int from);
-  static bool SubsetWithQuery(const Node* node, const ColumnSet& allowed,
-                              int required, bool have, int from);
-  static void UnionSubsetsQuery(const Node* node, const ColumnSet& allowed,
-                                int from, ColumnSet* prefix, ColumnSet* out);
-  struct SubsetEachState;
-  static void SubsetEachQuery(const Node* node, int from, int used_extra,
-                              SubsetEachState* state);
-  static bool SupersetQuery(const Node* node,
-                            const std::vector<int>& columns, size_t index);
-  static void CollectSubsets(const Node* node, const ColumnSet& set, int from,
-                             ColumnSet* prefix, std::vector<ColumnSet>* out);
-  static void CollectSupersets(const Node* node,
-                               const std::vector<int>& columns, size_t index,
-                               ColumnSet* prefix,
-                               std::vector<ColumnSet>* out);
-  static bool FindSuperset(const Node* node, const std::vector<int>& columns,
-                           size_t index, ColumnSet* prefix, ColumnSet* out);
-  static void Collect(const Node* node, ColumnSet* prefix,
-                      std::vector<ColumnSet>* out);
-  // Returns true if the child entry can be removed from its parent.
-  static bool EraseRecursive(Node* node, const std::vector<int>& columns,
-                             size_t index, bool* erased);
-
-  std::unique_ptr<Node> root_;
+  // buckets_[k] holds the stored sets with k columns.
+  std::vector<std::vector<ColumnSet>> buckets_;
   size_t size_ = 0;
 };
 

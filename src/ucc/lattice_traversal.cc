@@ -117,10 +117,10 @@ void LatticeTraversal::WalkFrom(ColumnSet seed) {
     }
     // Negative: queue every direct superset that is not already known
     // positive, in random order. If all supersets are positive, `node` is
-    // a maximal negative. One batched trie traversal answers the
-    // known-positive query for every extension at once (no knowledge is
-    // inserted between the queries, so this is equivalent to — and cheaper
-    // than — one ContainsSubsetOf per candidate).
+    // a maximal negative. One batched scan answers the known-positive
+    // query for every extension at once (no knowledge is inserted between
+    // the queries, so this is equivalent to — and cheaper than — one
+    // ContainsSubsetOf per candidate).
     batch_extras_.clear();
     for (int c = universe_.First(); c >= 0; c = universe_.NextAtLeast(c + 1)) {
       if (!node.Contains(c)) batch_extras_.push_back(c);

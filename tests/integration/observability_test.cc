@@ -144,5 +144,34 @@ TEST(ObservabilityTest, TraceViewMatchesResultTimingsForSequentialRun) {
   }
 }
 
+// The exact work counters of one MUDS run are deterministic in the data, so
+// they are pinned to the value, not to a band: a change to the lattice
+// bookkeeping or the PLI layer that moves one of them changes the work MUDS
+// does, not only its speed. The relation is the FD-rich 16-column hepatitis
+// analog (data seed 1) that the end-to-end benchmark's lattice_heavy
+// workload profiles.
+TEST(ObservabilityTest, MudsWorkCountersArePinnedOnHepatitisAnalog) {
+  UciProfile profile;
+  for (const UciProfile& candidate : UciProfiles()) {
+    if (candidate.name == "hepatitis") profile = candidate;
+  }
+  ASSERT_GE(profile.specs.size(), 16u);
+  profile.specs.resize(16);
+  ProfileOptions options;
+  options.algorithm = Algorithm::kMuds;
+  options.num_threads = 1;
+  const ProfilingResult result =
+      ProfileRelation(MakeUciLike(profile, /*seed=*/1), options);
+
+  const std::map<std::string, int64_t> metrics = AsMap(result.metrics);
+  EXPECT_EQ(metrics.at("muds.fd_checks"), 42658);
+  EXPECT_EQ(metrics.at("pli_cache.intersects"), 15852);
+  EXPECT_EQ(metrics.at("muds.completion.nodes_visited"), 4762);
+  EXPECT_EQ(metrics.at("muds.completion.walk_steps"), 240);
+  EXPECT_EQ(metrics.at("muds.connector_lookups"), 37212);
+  EXPECT_EQ(metrics.at("ducc.uniqueness_checks"), 1511);
+  EXPECT_EQ(result.fds.size(), 2823u);
+}
+
 }  // namespace
 }  // namespace muds

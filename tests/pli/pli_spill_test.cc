@@ -325,6 +325,11 @@ TEST(PliSerializationTest, DeserializeRejectsCorruptBuffers) {
                      "more clustered rows than rows");
   expect_parse_error(CraftPli(2, {0, 1}, {0, 2}, uint64_t{1} << 40),
                      "row count beyond RowId");
+  // A row in two clusters would make Refines and RefinesAll disagree.
+  expect_parse_error(CraftPli(4, {0, 1, 1, 2}, {0, 2, 4}, 4),
+                     "row id repeated across clusters");
+  expect_parse_error(CraftPli(2, {3, 3}, {0, 2}, 4),
+                     "row id repeated within a cluster");
   // The crafting helper itself writes valid buffers when asked to.
   const std::vector<char> valid = CraftPli(4, {0, 2, 1, 3}, {0, 2, 4}, 5);
   EXPECT_TRUE(Pli::Deserialize(valid.data(), valid.size()).ok());

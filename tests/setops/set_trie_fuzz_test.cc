@@ -3,6 +3,7 @@
 // of a real bug: FindSupersetOf crashed on an empty trie (the root is the
 // only childless non-terminal node).
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -23,6 +24,12 @@ ColumnSet RandomSet(Rng* rng, int universe, int max_size) {
         static_cast<uint64_t>(universe))));
   }
   return s;
+}
+
+// Prefix-tree order: lexicographic over the ascending column sequences, a
+// prefix before its extensions — the order std::vector<int> compares in.
+bool PrefixTreeLess(const ColumnSet& a, const ColumnSet& b) {
+  return a.ToIndices() < b.ToIndices();
 }
 
 TEST(SetTrieFuzzTest, EmptyTrieQueriesAreSafe) {
@@ -68,20 +75,57 @@ TEST_P(SetTrieFuzzCase, OperationsMatchNaiveReference) {
     EXPECT_EQ(trie.ContainsSupersetOf(q), want_superset);
     EXPECT_EQ(trie.Contains(q), reference.count(q) == 1);
 
+    // The witness is the least stored superset in prefix-tree order, the
+    // one a depth-first walk of the §5.4 prefix tree meets first.
+    const ColumnSet* want_witness = nullptr;
+    for (const ColumnSet& r : reference) {
+      if (q.IsSubsetOf(r) &&
+          (want_witness == nullptr || PrefixTreeLess(r, *want_witness))) {
+        want_witness = &r;
+      }
+    }
     ColumnSet witness;
     const bool got = trie.FindSupersetOf(q, &witness);
     EXPECT_EQ(got, want_superset);
-    if (got) {
-      EXPECT_TRUE(q.IsSubsetOf(witness));
-      EXPECT_EQ(reference.count(witness), 1u)
-          << "witness is not a stored set";
+    if (got && want_witness != nullptr) {
+      EXPECT_EQ(witness, *want_witness)
+          << "witness " << witness.ToString() << " is not the least superset";
     }
+
+    // Batched subset query over distinct extras, some of them inside q.
+    std::vector<int> extras;
+    for (int c = 0; c < universe; ++c) {
+      if (rng.NextBool(0.5)) extras.push_back(c);
+    }
+    std::vector<uint8_t> each;
+    trie.ContainsSubsetOfEach(q, extras, &each);
+    ASSERT_EQ(each.size(), extras.size());
+    for (size_t i = 0; i < extras.size(); ++i) {
+      bool want = false;
+      for (const ColumnSet& r : reference) {
+        want |= r.IsSubsetOf(q.With(extras[i]));
+      }
+      EXPECT_EQ(each[i] != 0, want) << "extra " << extras[i];
+    }
+
+    // The evidence-store probes.
+    const int required =
+        static_cast<int>(rng.NextBelow(static_cast<uint64_t>(universe)));
+    bool want_with = false;
+    ColumnSet want_union;
+    for (const ColumnSet& r : reference) {
+      if (!r.IsSubsetOf(q)) continue;
+      want_with |= r.Contains(required);
+      want_union = want_union.Union(r);
+    }
+    EXPECT_EQ(trie.ContainsSubsetOfWith(q, required), want_with);
+    EXPECT_EQ(trie.UnionOfSubsetsOf(q), want_union);
   }
 
-  // Final full-content check.
-  auto all = trie.CollectAll();
-  std::set<ColumnSet> got(all.begin(), all.end());
-  EXPECT_EQ(got, reference);
+  // Final full-content check, in prefix-tree order.
+  std::vector<ColumnSet> want(reference.begin(), reference.end());
+  std::sort(want.begin(), want.end(), PrefixTreeLess);
+  EXPECT_EQ(trie.CollectAll(), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SetTrieFuzzCase, ::testing::Range(1, 31));
